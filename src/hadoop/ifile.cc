@@ -1,21 +1,12 @@
 #include "hadoop/ifile.h"
 
-#include <chrono>
-
+#include "io/clock.h"
 #include "io/crc32.h"
 #include "io/primitives.h"
 #include "io/streams.h"
 #include "io/varint.h"
 
 namespace scishuffle::hadoop {
-
-namespace {
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-}  // namespace
 
 std::size_t ifileRecordOverhead(std::size_t keyLen, std::size_t valueLen) {
   return vlongSize(static_cast<i64>(keyLen)) + vlongSize(static_cast<i64>(valueLen));
@@ -40,9 +31,9 @@ Bytes IFileWriter::close() {
 
   Bytes file;
   if (codec_ != nullptr) {
-    const u64 start = nowUs();
+    const u64 start = steadyNowUs();
     file = codec_->compress(payload_);
-    compressCpuUs_ = nowUs() - start;
+    compressCpuUs_ = steadyNowUs() - start;
   } else {
     file = payload_;
   }
@@ -59,9 +50,9 @@ IFileReader::IFileReader(ByteSpan file, const Codec* codec) {
   const u32 expected = readU32(crcSource);
 
   if (codec != nullptr) {
-    const u64 start = nowUs();
+    const u64 start = steadyNowUs();
     payload_ = codec->decompress(body);
-    decompressCpuUs_ = nowUs() - start;
+    decompressCpuUs_ = steadyNowUs() - start;
   } else {
     payload_.assign(body.begin(), body.end());
   }

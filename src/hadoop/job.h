@@ -1,9 +1,11 @@
 // Job configuration: the knobs the paper's experiments turn.
 #pragma once
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "hadoop/retry.h"
 #include "hadoop/types.h"
@@ -125,5 +127,12 @@ struct JobConfig {
   /// Reduce-side grouping strategy; default groups byte-equal keys.
   std::shared_ptr<ReduceGrouper> grouper = std::make_shared<DefaultGrouper>();
 };
+
+/// Threads in a codec pool built for `config`: codec_threads, or the hardware
+/// concurrency when that is 0.
+inline int codecPoolThreads(const JobConfig& config) {
+  if (config.codec_threads > 0) return config.codec_threads;
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
 
 }  // namespace scishuffle::hadoop

@@ -1,12 +1,10 @@
 #include "hadoop/runtime.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <fstream>
 #include <iterator>
 #include <optional>
-#include <thread>
 
 #include "compress/block_format.h"
 #include "compress/codec.h"
@@ -15,6 +13,7 @@
 #include "hadoop/shuffle.h"
 #include "io/annotations.h"
 #include "io/buffer_pool.h"
+#include "io/clock.h"
 #include "io/task_tag.h"
 #include "io/thread_pool.h"
 #include "obs/metrics_stream.h"
@@ -26,17 +25,6 @@
 namespace scishuffle::hadoop {
 
 namespace {
-
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
-int codecPoolThreads(const JobConfig& config) {
-  if (config.codec_threads > 0) return config.codec_threads;
-  return std::max(1u, std::thread::hardware_concurrency());
-}
 
 bool cancelRequested(const JobContext* ctx) {
   return ctx != nullptr && ctx->cancelled != nullptr &&
@@ -94,10 +82,6 @@ class ErrorSlot {
   void record(std::exception_ptr e) {
     MutexLock lock(mutex_);
     if (!first_) first_ = std::move(e);
-  }
-  bool any() const {
-    MutexLock lock(mutex_);
-    return first_ != nullptr;
   }
   // Reads under the lock like every other accessor: callers invoke this after
   // the pools quiesce, but the lock keeps the accessor safe on its own terms
@@ -216,7 +200,7 @@ JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapT
   ErrorSlot errors;
 
   // ---- Map phase (steps 1-3): map, combine, sort, spill, merge spills.
-  const u64 mapStart = nowUs();
+  const u64 mapStart = steadyNowUs();
   {
     obs::ScopedSpan phase("map_phase", "map");
     ThreadPool pool(config.map_slots);
@@ -232,10 +216,10 @@ JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapT
   }
   if (cancelRequested(ctx)) throw JobCancelledError();
   errors.rethrowIfSet();
-  result.timings.map_phase_us = nowUs() - mapStart;
+  result.timings.map_phase_us = steadyNowUs() - mapStart;
 
   // ---- Shuffle (step 4): every reducer fetches its segment from every map.
-  const u64 shuffleStart = nowUs();
+  const u64 shuffleStart = steadyNowUs();
   std::vector<std::vector<Bytes>> reducerSegments(static_cast<std::size_t>(config.num_reducers));
   {
     obs::ScopedSpan span("shuffle_copy", "shuffle");
@@ -251,11 +235,11 @@ JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapT
     }
     span.arg("bytes", copied);
   }
-  result.timings.shuffle_us = nowUs() - shuffleStart;
+  result.timings.shuffle_us = steadyNowUs() - shuffleStart;
 
   // ---- Reduce phase (steps 5-7): merge sort, group, reduce.
   result.outputs.resize(static_cast<std::size_t>(config.num_reducers));
-  const u64 reduceStart = nowUs();
+  const u64 reduceStart = steadyNowUs();
   {
     obs::ScopedSpan phase("reduce_phase", "reduce");
     ThreadPool pool(config.reduce_slots);
@@ -273,24 +257,134 @@ JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapT
   }
   if (cancelRequested(ctx)) throw JobCancelledError();
   errors.rethrowIfSet();
-  result.timings.reduce_phase_us = nowUs() - reduceStart;
+  result.timings.reduce_phase_us = steadyNowUs() - reduceStart;
 
   return result;
 }
 
-/// Pipelined data path: an event-driven hand-off replaces the map barrier —
-/// as each map task's output materializes, its per-reducer segments are
-/// published to the ShuffleServer and fetching reducers pick them up while
-/// late map tasks are still running. Per-block codec work (spill-side
-/// compression, reduce-side decode-ahead) fans out across a shared pool.
-JobResult runJobPipelined(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                          const ReduceFn& reduce, const Codec* codec, const JobContext* ctx) {
+/// Reducer r's side of the shuffle: blocks on the server until every map has
+/// published, retrying dropped fetches and (when enabled) decode-scanning
+/// each segment, then materializes the overflowed ones. Segments come back
+/// slotted by map index, so the merge sees the serial path's order whatever
+/// the arrival order.
+std::vector<Bytes> fetchReducerSegments(const JobConfig& config, ShuffleServer& server,
+                                        const Codec* codec, std::size_t numMaps, int r,
+                                        JobResult& result) {
+  const bool verify = config.verify_fetched_segments || config.shuffle_retry.enabled;
+  std::vector<Bytes> segments(numMaps);
+  // Overflowed segments stay on disk through the shuffle window and
+  // materialize right before the merge (which needs them resident).
+  std::vector<std::pair<std::size_t, std::filesystem::path>> deferred;
+  u64 shuffled = 0;
+  for (;;) {
+    // The span covers the blocking wait too: fetch-wait time is the
+    // "reducer idle behind stragglers" signal a trace should show.
+    obs::ScopedSpan span("segment_fetch", "shuffle");
+    auto fetched = retryWithPolicy(
+        config.shuffle_retry, testing::site::kShuffleFetch, [&] { return server.fetch(r); },
+        [&](int attempt, const std::string&) {
+          result.counters.add(counter::kShuffleFetchRetries, 1);
+          obs::emitEvent(obs::event::kShuffleFetchRetry, testing::site::kShuffleFetch,
+                         static_cast<u64>(attempt));
+        });
+    if (!fetched) break;
+    span.arg("reducer", static_cast<u64>(r));
+    span.arg("map", fetched->map_index);
+    if (!fetched->overflow_file.empty()) {
+      span.arg("bytes", fetched->overflow_bytes);
+      shuffled += fetched->overflow_bytes;
+      deferred.emplace_back(fetched->map_index, std::move(fetched->overflow_file));
+      continue;
+    }
+    span.arg("bytes", fetched->segment.size());
+    if (verify) verifyAndRecoverSegment(config, server, codec, *fetched, r, result.counters);
+    shuffled += fetched->segment.size();
+    segments[fetched->map_index] = std::move(fetched->segment);
+  }
+  for (auto& [mapIndex, file] : deferred) {
+    ShuffleServer::Fetched loaded{mapIndex, readOverflowFile(file), {}, 0};
+    if (verify) verifyAndRecoverSegment(config, server, codec, loaded, r, result.counters);
+    segments[mapIndex] = std::move(loaded.segment);
+  }
+  result.counters.add(counter::kReduceShuffleBytes, shuffled);
+  result.reduce_tasks[static_cast<std::size_t>(r)].shuffled_bytes = shuffled;
+  return segments;
+}
+
+/// The in-process map side: a map-slot pool around executeMapTask, each task
+/// publishing its segments the moment its output materializes, while late
+/// map tasks are still running.
+class SlotPoolMapSide final : public MapSide {
+ public:
+  SlotPoolMapSide(const JobConfig& config, const std::vector<MapTask>& tasks,
+                  const JobContext* ctx)
+      : config_(config), tasks_(tasks), ctx_(ctx) {}
+
+  std::size_t numTasks() const override { return tasks_.size(); }
+
+  void run(const MapSideSink& sink) override {
+    ErrorSlot errors;
+    {
+      ThreadPool mapPool(config_.map_slots);
+      PoolGauges mapPoolGauges(mapPool);
+      for (std::size_t m = 0; m < tasks_.size(); ++m) {
+        mapPool.submit([this, &sink, &errors, m] { runTask(sink, m, errors); });
+      }
+      mapPool.wait();
+    }
+    errors.rethrowIfSet();
+  }
+
+ private:
+  void runTask(const MapSideSink& sink, std::size_t m, ErrorSlot& errors) const {
+    if (cancelRequested(ctx_)) {
+      // Cancelled before this task started: fail the map side so the driver
+      // aborts the shuffle (fetchers are blocked waiting on publishes that
+      // will never come) and stop scheduling work.
+      errors.record(std::make_exception_ptr(JobCancelledError()));
+      return;
+    }
+    auto output = runMapTaskWithRetries(config_, sink.codec, &sink.codec_pool, tasks_[m], m,
+                                        sink.result.map_tasks[m], sink.result.counters, errors);
+    if (!output.has_value()) return;
+    if (!config_.shuffle_retry.enabled && config_.fault_injector == nullptr) {
+      sink.server.publish(m, std::move(output->segments));
+      return;
+    }
+    // Copy per attempt so a publish that throws mid-way can be retried with
+    // intact segments; errors land in the slot (pool tasks must not throw).
+    try {
+      retryWithPolicy(
+          config_.shuffle_retry, testing::site::kShufflePublish,
+          [&] { sink.server.publish(m, output->segments); },
+          [&](int attempt, const std::string&) {
+            obs::emitEvent(obs::event::kShufflePublishRetry, testing::site::kShufflePublish,
+                           static_cast<u64>(attempt));
+          });
+    } catch (...) {
+      errors.record();
+    }
+  }
+
+  const JobConfig& config_;
+  const std::vector<MapTask>& tasks_;
+  const JobContext* ctx_;
+};
+
+/// The pipelined data path behind every map side: an event-driven hand-off
+/// replaces the map barrier. Reducers start first and block on the
+/// ShuffleServer; the map side publishes into it; per-block codec work
+/// (spill-side compression, reduce-side decode-ahead) fans out across a
+/// shared pool.
+JobResult driveJob(const JobConfig& config, MapSide& mapSide, const ReduceFn& reduce,
+                   const Codec* codec, const JobContext* ctx) {
+  const std::size_t numMaps = mapSide.numTasks();
   JobResult result;
-  result.map_tasks.resize(mapTasks.size());
+  result.map_tasks.resize(numMaps);
   result.reduce_tasks.resize(static_cast<std::size_t>(config.num_reducers));
   result.outputs.resize(static_cast<std::size_t>(config.num_reducers));
   Mutex outputsMutex{lock_rank::kJobOutputs};
-  ErrorSlot errors;
+  ErrorSlot reduceErrors;
 
   // Codec pool: the hosting service shares one pool across its concurrent
   // jobs (and registers its gauges once); a standalone job owns a private one.
@@ -305,7 +399,7 @@ JobResult runJobPipelined(const JobConfig& config, const std::vector<MapTask>& m
   ThreadPool& codecPool = *codecPoolPtr;
   // Retry needs pristine copies to re-fetch; without it, keep today's pure
   // move semantics (no segment copies on the happy path).
-  ShuffleServer server(mapTasks.size(), config.num_reducers, config.fault_injector,
+  ShuffleServer server(numMaps, config.num_reducers, config.fault_injector,
                        /*retainSegments=*/config.shuffle_retry.enabled);
   if (ctx != nullptr) {
     if (ctx->shuffle_pending_limit_bytes != 0) {
@@ -321,118 +415,45 @@ JobResult runJobPipelined(const JobConfig& config, const std::vector<MapTask>& m
       obs::gauge::kShufflePendingBytes, [&server] { return server.pendingBytes(); });
   obs::GaugeRegistration shuffleOverflow = obs::processGauges().add(
       obs::gauge::kShuffleOverflowBytes, [&server] { return server.overflowBytes(); });
-  const bool verifySegments = config.verify_fetched_segments || config.shuffle_retry.enabled;
 
-  const u64 jobStart = nowUs();
+  mapSide.prepare();
+  const u64 jobStart = steadyNowUs();
 
-  // Reducers start first and block on the shuffle server; segments are slotted
-  // by map index so the merge sees the same deterministic order as the serial
-  // path regardless of arrival order.
   ThreadPool reducePool(config.reduce_slots);
   PoolGauges reducePoolGauges(reducePool);
   for (int r = 0; r < config.num_reducers; ++r) {
     reducePool.submit([&, r] {
       try {
-        std::vector<Bytes> segments(mapTasks.size());
-        // Overflowed segments stay on disk through the shuffle window and
-        // materialize right before the merge (which needs them resident).
-        std::vector<std::pair<std::size_t, std::filesystem::path>> deferred;
-        u64 shuffled = 0;
-        for (;;) {
-          // The span covers the blocking wait too: fetch-wait time is the
-          // "reducer idle behind stragglers" signal a trace should show.
-          obs::ScopedSpan span("segment_fetch", "shuffle");
-          auto fetched = retryWithPolicy(
-              config.shuffle_retry, testing::site::kShuffleFetch,
-              [&] { return server.fetch(r); },
-              [&](int attempt, const std::string&) {
-                result.counters.add(counter::kShuffleFetchRetries, 1);
-                obs::emitEvent(obs::event::kShuffleFetchRetry, testing::site::kShuffleFetch,
-                               static_cast<u64>(attempt));
-              });
-          if (!fetched) break;
-          span.arg("reducer", static_cast<u64>(r));
-          span.arg("map", fetched->map_index);
-          if (!fetched->overflow_file.empty()) {
-            span.arg("bytes", fetched->overflow_bytes);
-            shuffled += fetched->overflow_bytes;
-            deferred.emplace_back(fetched->map_index, std::move(fetched->overflow_file));
-            continue;
-          }
-          span.arg("bytes", fetched->segment.size());
-          if (verifySegments) {
-            verifyAndRecoverSegment(config, server, codec, *fetched, r, result.counters);
-          }
-          shuffled += fetched->segment.size();
-          segments[fetched->map_index] = std::move(fetched->segment);
-        }
-        for (auto& [mapIndex, file] : deferred) {
-          ShuffleServer::Fetched loaded{mapIndex, readOverflowFile(file), {}, 0};
-          if (verifySegments) {
-            verifyAndRecoverSegment(config, server, codec, loaded, r, result.counters);
-          }
-          segments[mapIndex] = std::move(loaded.segment);
-        }
-        result.counters.add(counter::kReduceShuffleBytes, shuffled);
-        result.reduce_tasks[static_cast<std::size_t>(r)].shuffled_bytes = shuffled;
+        const std::vector<Bytes> segments =
+            fetchReducerSegments(config, server, codec, numMaps, r, result);
         if (cancelRequested(ctx)) return;  // cancelled: skip the merge/reduce
         runReduceTaskWithRetries(config, codec, &codecPool, reduce, segments, result,
-                                 outputsMutex, r, errors);
+                                 outputsMutex, r, reduceErrors);
       } catch (...) {
-        errors.record();  // shuffle aborted (the map error is already recorded)
+        reduceErrors.record();  // shuffle aborted (the map side's error wins below)
       }
     });
   }
 
+  std::exception_ptr mapError;
   {
     obs::ScopedSpan phase("map_phase", "map");
-    ThreadPool mapPool(config.map_slots);
-    PoolGauges mapPoolGauges(mapPool);
-    for (std::size_t m = 0; m < mapTasks.size(); ++m) {
-      mapPool.submit([&, m] {
-        if (cancelRequested(ctx)) {
-          // Cancelled before this task started: record it so the shuffle
-          // aborts (fetchers are blocked waiting on publishes that will
-          // never come) and stop scheduling work.
-          errors.record(std::make_exception_ptr(JobCancelledError()));
-          return;
-        }
-        auto output = runMapTaskWithRetries(config, codec, &codecPool, mapTasks[m], m,
-                                            result.map_tasks[m], result.counters, errors);
-        if (!output.has_value()) return;
-        if (config.shuffle_retry.enabled || config.fault_injector != nullptr) {
-          // Copy per attempt so a publish that throws mid-way can be retried
-          // with intact segments; errors land in the slot (pool tasks must
-          // not throw) and abort the shuffle after the map phase.
-          try {
-            retryWithPolicy(
-                config.shuffle_retry, testing::site::kShufflePublish,
-                [&] { server.publish(m, output->segments); },
-                [&](int attempt, const std::string&) {
-                  obs::emitEvent(obs::event::kShufflePublishRetry,
-                                 testing::site::kShufflePublish, static_cast<u64>(attempt));
-                });
-          } catch (...) {
-            errors.record();
-          }
-        } else {
-          server.publish(m, std::move(output->segments));
-        }
-      });
+    try {
+      mapSide.run(MapSideSink{server, result, codec, codecPool});
+    } catch (...) {
+      mapError = std::current_exception();
     }
-    mapPool.wait();
   }
-  const u64 mapEnd = nowUs();
+  const u64 mapEnd = steadyNowUs();
   result.timings.map_phase_us = mapEnd - jobStart;
-  if (errors.any() || cancelRequested(ctx)) {
+  if (mapError || cancelRequested(ctx)) {
     // A map never published (failure or cancellation); unblock fetchers.
     server.abort();
     obs::emitEvent(obs::event::kShuffleAbort, testing::site::kShufflePublish);
   }
 
   reducePool.wait();
-  const u64 jobEnd = nowUs();
-  result.timings.reduce_phase_us = jobEnd - mapEnd;
+  result.timings.reduce_phase_us = steadyNowUs() - mapEnd;
 
   const u64 firstPublish = server.firstPublishUs();
   const u64 lastFetch = server.lastFetchUs();
@@ -446,64 +467,48 @@ JobResult runJobPipelined(const JobConfig& config, const std::vector<MapTask>& m
   }
 
   // Cancellation outranks whatever secondary error the teardown produced
-  // (aborted fetchers record runtime_errors into the slot).
+  // (aborted fetchers record runtime_errors into the slot), and the map
+  // side's own error outranks the reducers'.
   if (cancelRequested(ctx)) throw JobCancelledError();
-  errors.rethrowIfSet();
+  if (mapError) std::rethrow_exception(mapError);
+  reduceErrors.rethrowIfSet();
   return result;
 }
 
-/// Routes the job's spans to its TraceRecorder for the duration of the run.
-/// Standalone job (tag 0): installs the recorder in the process-wide slot and
-/// clears it on every exit path. Service job (nonzero tag): binds the
-/// recorder to the job's task tag and never touches the global slot, which
-/// the service may own.
-struct ActiveTraceGuard {
-  ActiveTraceGuard(obs::TraceRecorder* recorder, u64 tag) : tag_(tag) {
-    if (tag_ != 0) {
-      if (recorder != nullptr) {
-        obs::bindJobTrace(tag_, recorder);
-        bound_ = true;
-      }
-    } else {
-      if (recorder != nullptr) obs::setActiveTrace(recorder);
-      ownsGlobal_ = true;
+/// Routes the job's spans and structured metric events (retry, corruption,
+/// backpressure) to its recorder and stream for the duration of the run;
+/// emitEvent() is a single relaxed load while none is installed. Standalone
+/// job (tag 0): installs them in the process-wide slots and clears those on
+/// every exit path. Service job (nonzero tag): binds them to the job's task
+/// tag and never touches the global slots, which the service may own.
+class TelemetryBinding {
+ public:
+  TelemetryBinding(obs::TraceRecorder* recorder, obs::MetricsStream* stream, u64 tag)
+      : recorder_(recorder), stream_(stream), tag_(tag) {
+    if (tag_ == 0) {
+      if (recorder_ != nullptr) obs::setActiveTrace(recorder_);
+      if (stream_ != nullptr) obs::setActiveMetrics(stream_);
+      return;
     }
+    if (recorder_ != nullptr) obs::bindJobTrace(tag_, recorder_);
+    if (stream_ != nullptr) obs::bindJobMetrics(tag_, stream_);
   }
-  ~ActiveTraceGuard() {
-    if (bound_) obs::unbindJobTrace(tag_);
-    if (ownsGlobal_) obs::setActiveTrace(nullptr);
+  ~TelemetryBinding() {
+    if (tag_ == 0) {
+      obs::setActiveTrace(nullptr);
+      obs::setActiveMetrics(nullptr);
+      return;
+    }
+    if (recorder_ != nullptr) obs::unbindJobTrace(tag_);
+    if (stream_ != nullptr) obs::unbindJobMetrics(tag_);
   }
+  TelemetryBinding(const TelemetryBinding&) = delete;
+  TelemetryBinding& operator=(const TelemetryBinding&) = delete;
 
  private:
+  obs::TraceRecorder* recorder_;
+  obs::MetricsStream* stream_;
   u64 tag_;
-  bool bound_ = false;
-  bool ownsGlobal_ = false;
-};
-
-/// Same pattern for the metrics stream: structured events (retry, corruption,
-/// backpressure) reach the JSONL file only while a job with a metrics_path is
-/// running; emitEvent() is a single relaxed load otherwise.
-struct ActiveMetricsGuard {
-  ActiveMetricsGuard(obs::MetricsStream* stream, u64 tag) : tag_(tag) {
-    if (tag_ != 0) {
-      if (stream != nullptr) {
-        obs::bindJobMetrics(tag_, stream);
-        bound_ = true;
-      }
-    } else {
-      if (stream != nullptr) obs::setActiveMetrics(stream);
-      ownsGlobal_ = true;
-    }
-  }
-  ~ActiveMetricsGuard() {
-    if (bound_) obs::unbindJobMetrics(tag_);
-    if (ownsGlobal_) obs::setActiveMetrics(nullptr);
-  }
-
- private:
-  u64 tag_;
-  bool bound_ = false;
-  bool ownsGlobal_ = false;
 };
 
 }  // namespace
@@ -521,14 +526,14 @@ MapTaskExecution executeMapTask(const JobConfig& config, const Codec* codec,
       MapTaskExecution exec;
       Counters& taskCounters = exec.counters;
       MapOutputBuffer buffer(config, codec, taskCounters, codecPool);
-      const u64 taskStart = nowUs();
+      const u64 taskStart = steadyNowUs();
       const EmitFn emit = [&](Bytes key, Bytes value) {
         auto routed =
             config.router(KeyValue{std::move(key), std::move(value)}, config.num_reducers);
         for (auto& [partition, kv] : routed) buffer.collect(partition, std::move(kv));
       };
       task.run(emit);
-      taskCounters.add(counter::kMapCpuUs, nowUs() - taskStart);
+      taskCounters.add(counter::kMapCpuUs, steadyNowUs() - taskStart);
       exec.output = buffer.finish();
       exec.stats.cpu_us = taskCounters.get(counter::kMapCpuUs) +
                           taskCounters.get(counter::kSortCpuUs) +
@@ -572,9 +577,9 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
         taskCounters.add(counter::kReduceOutputRecords, 1);
         exec.output.push_back(KeyValue{std::move(key), std::move(value)});
       };
-      const u64 taskStart = nowUs();
+      const u64 taskStart = steadyNowUs();
       config.grouper->run(stream, reduce, emit, taskCounters);
-      taskCounters.add(counter::kReduceCpuUs, nowUs() - taskStart);
+      taskCounters.add(counter::kReduceCpuUs, steadyNowUs() - taskStart);
       span.arg("output_records", taskCounters.get(counter::kReduceOutputRecords));
       exec.stats.cpu_us = taskCounters.get(counter::kReduceCpuUs) +
                           taskCounters.get(counter::kCodecDecompressCpuUs);
@@ -605,13 +610,14 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
   }
 }
 
-JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                 const ReduceFn& reduce) {
-  return runJob(config, mapTasks, reduce, nullptr);
-}
+namespace {
 
-JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                 const ReduceFn& reduce, const JobContext* ctx) {
+/// Runs `body` (one job's data path, handed the job's intermediate codec)
+/// under the job's telemetry: trace recorder, metrics stream, gauge sampler
+/// and task-tag routing; then folds the resident peak, histograms, gauge
+/// rollups and counters into the result.
+JobResult runWithTelemetry(const JobConfig& config, const JobContext* ctx, std::size_t numMaps,
+                           const std::function<JobResult(const Codec*)>& body) {
   check(config.num_reducers >= 1, "need at least one reducer");
   registerTransformCodecs();  // ensure codec names resolve
   const auto codecPtr = config.intermediate_codec == "null"
@@ -636,8 +642,7 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
   JobResult result;
   std::map<std::string, obs::GaugeRollup> rollups;
   {
-    ActiveTraceGuard guard(recorder.get(), tag);
-    ActiveMetricsGuard metricsGuard(metrics.get(), tag);
+    TelemetryBinding binding(recorder.get(), metrics.get(), tag);
     // The shared byte pool is process-global, so its gauges register for the
     // job's duration rather than for a component's lifetime — unless a
     // hosting service already registered them once for the whole fleet
@@ -657,11 +662,9 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
     sampler.start();
     {
       obs::ScopedSpan jobSpan("job", "job");
-      jobSpan.arg("map_tasks", mapTasks.size());
+      jobSpan.arg("map_tasks", numMaps);
       jobSpan.arg("reducers", static_cast<u64>(config.num_reducers));
-      result = config.shuffle_pipeline
-                   ? runJobPipelined(config, mapTasks, reduce, codecPtr.get(), ctx)
-                   : runJobSerial(config, mapTasks, reduce, codecPtr.get(), ctx);
+      result = body(codecPtr.get());
     }
     sampler.stop();  // takes the final sample before the gauges unregister
     rollups = sampler.rollups();
@@ -691,6 +694,31 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
   }
   result.telemetry.counters = result.counters.snapshot();
   return result;
+}
+
+}  // namespace
+
+JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
+                 const ReduceFn& reduce) {
+  return runJob(config, mapTasks, reduce, nullptr);
+}
+
+JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
+                 const ReduceFn& reduce, const JobContext* ctx) {
+  if (!config.shuffle_pipeline) {
+    return runWithTelemetry(config, ctx, mapTasks.size(), [&](const Codec* codec) {
+      return runJobSerial(config, mapTasks, reduce, codec, ctx);
+    });
+  }
+  SlotPoolMapSide mapSide(config, mapTasks, ctx);
+  return runJob(config, mapSide, reduce, ctx);
+}
+
+JobResult runJob(const JobConfig& config, MapSide& mapSide, const ReduceFn& reduce,
+                 const JobContext* ctx) {
+  return runWithTelemetry(config, ctx, mapSide.numTasks(), [&](const Codec* codec) {
+    return driveJob(config, mapSide, reduce, codec, ctx);
+  });
 }
 
 }  // namespace scishuffle::hadoop

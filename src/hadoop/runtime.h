@@ -1,6 +1,15 @@
 // Job runtime: executes map tasks on map slots, shuffles materialized
 // segments to reducers, merges, and drives the reduce-side grouper —
 // the full data path of the paper's Fig. 1, steps 1-7.
+//
+// One job driver runs every pipelined job, in-process or distributed. It owns
+// everything after map output exists: the codec pool, the ShuffleServer, the
+// reducers' fetch -> retry -> verify -> overflow loop into executeReduceTask,
+// PhaseTimings, and the job's telemetry. What produces the map output is a
+// MapSide plugged into it: runJob's map-slot pool around executeMapTask, or
+// the distributed coordinator's scheduler and fetch pump
+// (service/coordinator.h). The legacy serial path (shuffle_pipeline = false)
+// stays beside it as the bit-identity oracle.
 #pragma once
 
 #include <atomic>
@@ -156,6 +165,42 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
                                       const std::vector<Bytes>& segments, int reducer,
                                       Counters* retryCounters = nullptr);
 
+/// Where a map side delivers its work (see MapSide::run).
+struct MapSideSink {
+  /// The job's live shuffle: each map task's segments are published here
+  /// exactly once.
+  ShuffleServer& server;
+  /// Task m's MapTaskStats go to result.map_tasks[m] (pre-sized to
+  /// MapSide::numTasks()) and its counter deltas to result.counters
+  /// (thread-safe). The driver owns every other field.
+  JobResult& result;
+  /// The job's intermediate codec (nullptr = "null") and codec pool, for a
+  /// map side that executes its tasks in this process.
+  const Codec* codec;
+  ThreadPool& codec_pool;
+};
+
+/// The seam between the job driver and whatever executes map tasks.
+class MapSide {
+ public:
+  virtual ~MapSide() = default;
+
+  virtual std::size_t numTasks() const = 0;
+
+  /// Runs once inside the job's telemetry scope, before the job clock starts,
+  /// so its cost stays out of PhaseTimings (the coordinator forks its workers
+  /// here; their start-up and registration fall inside the map phase).
+  virtual void prepare() {}
+
+  /// Publishes every map task's segments into sink.server and records each
+  /// task's stats and counters in sink.result; returns once every task has
+  /// published. On failure throws its first error: the driver then aborts
+  /// the shuffle so blocked reducers unwind, and rethrows it. No thread this
+  /// starts may touch the sink after it returns or throws — the driver
+  /// destroys the server soon after.
+  virtual void run(const MapSideSink& sink) = 0;
+};
+
 /// Runs a complete MapReduce job. Thread-safe hooks required: key_less,
 /// router and combiner run concurrently across tasks.
 JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
@@ -166,5 +211,11 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
 /// shuffle backpressure). `ctx` may be nullptr.
 JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
                  const ReduceFn& reduce, const JobContext* ctx);
+
+/// The job driver with a caller-supplied map side: the same pipelined job
+/// and telemetry as above, with map tasks executed wherever `mapSide` runs
+/// them. JobConfig::shuffle_pipeline is not consulted.
+JobResult runJob(const JobConfig& config, MapSide& mapSide, const ReduceFn& reduce,
+                 const JobContext* ctx = nullptr);
 
 }  // namespace scishuffle::hadoop

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 
+#include "io/clock.h"
 #include "io/streams.h"
 #include "obs/trace.h"
 
 namespace scishuffle::hadoop {
 
 namespace {
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
 
 std::filesystem::path uniqueSpillPath(const std::filesystem::path& dir, std::size_t partition) {
   static std::atomic<u64> counter{0};
@@ -78,11 +73,11 @@ std::vector<KeyValue> MapOutputBuffer::sortAndCombine(std::vector<KeyValue>&& re
                                                       bool useCombiner) {
   obs::ScopedSpan span("sort", "spill");
   span.arg("records", records.size());
-  const u64 sortStart = nowUs();
+  const u64 sortStart = steadyNowUs();
   std::stable_sort(records.begin(), records.end(), [&](const KeyValue& a, const KeyValue& b) {
     return config_->key_less(a.key, b.key);
   });
-  counters_->add(counter::kSortCpuUs, nowUs() - sortStart);
+  counters_->add(counter::kSortCpuUs, steadyNowUs() - sortStart);
   if (!useCombiner || !config_->combiner) return std::move(records);
 
   std::vector<KeyValue> combined;

@@ -21,9 +21,9 @@
 #include <utility>
 #include <vector>
 
-#include "compress/codec.h"
 #include "hadoop/shuffle.h"
 #include "io/annotations.h"
+#include "io/clock.h"
 #include "io/thread_pool.h"
 #include "net/protocol.h"
 #include "net/socket.h"
@@ -31,7 +31,6 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "service/workload.h"
-#include "transform/transform_codec.h"
 
 namespace scishuffle::service {
 
@@ -39,40 +38,7 @@ namespace scishuffle::service {
 
 namespace {
 
-using hadoop::Counters;
 namespace counter = hadoop::counter;
-
-u64 nowUs() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
-int codecPoolThreads(const hadoop::JobConfig& config) {
-  if (config.codec_threads > 0) return config.codec_threads;
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-/// First-error collection for the reduce pool (pool tasks must not throw).
-class ErrorSlot {
- public:
-  void record() {
-    MutexLock lock(mu_);
-    if (!first_) first_ = std::current_exception();
-  }
-  void rethrowIfSet() {
-    std::exception_ptr e;
-    {
-      MutexLock lock(mu_);
-      e = first_;
-    }
-    if (e) std::rethrow_exception(e);
-  }
-
- private:
-  mutable Mutex mu_{lock_rank::kErrorSlot};
-  std::exception_ptr first_ GUARDED_BY(mu_);
-};
 
 /// Map-task lifecycle on the coordinator. kWorkerDone means the owner
 /// reported success but the segments are still only in its process; only
@@ -114,7 +80,10 @@ pid_t spawnProcess(const std::vector<std::string>& argv) {
   return pid;
 }
 
-class Coordinator {
+/// The distributed map side of the job driver (hadoop::runJob): worker
+/// processes execute the map tasks, and the fetch pump publishes their
+/// segments into the driver's ShuffleServer, which feeds the reduce side.
+class Coordinator final : public hadoop::MapSide {
  public:
   Coordinator(std::string workloadName, std::vector<std::string> workloadArgs,
               const DistributedConfig& config)
@@ -123,7 +92,11 @@ class Coordinator {
         workloadArgs_(std::move(workloadArgs)),
         workload_(buildWorkload(workloadName_, workloadArgs_)) {}
 
-  DistributedResult run();
+  DistributedResult execute();
+
+  std::size_t numTasks() const override { return workload_.map_tasks.size(); }
+  void prepare() override;
+  void run(const hadoop::MapSideSink& sink) override;
 
  private:
   void spawnWorker(u32 id);
@@ -138,7 +111,6 @@ class Coordinator {
   bool findAssignmentLocked(u32& taskOut, u32& workerOut,
                             std::shared_ptr<net::Connection>& connOut) REQUIRES(mu_);
   void monitorLoop();
-  void reducerLoop(int r, const Codec* codec, ErrorSlot& errors);
   void teardown();
   void reapChildren();
 
@@ -149,12 +121,20 @@ class Coordinator {
   std::filesystem::path controlSocketPath_;
 
   DistributedResult result_;
+  /// Worker deaths, requeues and transport retries; folded into the job's
+  /// counters when the map side ends.
+  hadoop::Counters counters_;
 
   mutable Mutex mu_{lock_rank::kCoordinator};
   CondVar schedWake_;
   std::vector<TaskState> tasks_ GUARDED_BY(mu_);
   std::map<u32, WorkerProc> workers_ GUARDED_BY(mu_);
   std::size_t published_ GUARDED_BY(mu_) = 0;
+  /// The driver's sink while run() is live; null before and after, which
+  /// stops every fetch from publishing into a server about to be destroyed.
+  const hadoop::MapSideSink* sink_ GUARDED_BY(mu_) = nullptr;
+  /// Set when the map side ends: the workers are no longer needed, so later
+  /// deaths are neither counted nor fatal.
   bool shuttingDown_ GUARDED_BY(mu_) = false;
   std::exception_ptr fatal_ GUARDED_BY(mu_);
   u64 recoveryLatencyUs_ GUARDED_BY(mu_) = 0;
@@ -164,16 +144,13 @@ class Coordinator {
   CondVar monWake_;
   bool monStop_ GUARDED_BY(monMu_) = false;
 
-  // Destruction order matters: fetchPool_ (declared last) joins its stale
-  // fetch tasks before server_ / codecPool_ / control_ go away.
+  // Destruction order matters: fetchPool_ (declared after control_) joins
+  // its stale fetch tasks before control_ goes away.
   std::optional<net::Listener> control_;
-  std::optional<ThreadPool> codecPool_;
-  std::optional<hadoop::ShuffleServer> server_;
   std::optional<ThreadPool> fetchPool_;
 
   std::thread acceptThread_;
   std::thread monitorThread_;
-  std::thread schedulerThread_;
 };
 
 void Coordinator::spawnWorker(u32 id) {
@@ -209,7 +186,7 @@ void Coordinator::spawnWorker(u32 id) {
     w.pid = pid;
     // Never-hello'd workers (exec failure, crash at startup) fall to the
     // heartbeat timeout from their spawn time.
-    w.last_heartbeat_us = nowUs();
+    w.last_heartbeat_us = steadyNowUs();
   }
   ++result_.workers_spawned;
   obs::emitEvent(obs::event::kWorkerSpawned, "coordinator", id);
@@ -241,7 +218,7 @@ void Coordinator::serveControl(std::shared_ptr<net::Connection> conn) {
       it->second.control = conn;
       it->second.data_socket = hello.data_socket;
       it->second.hello_seen = true;
-      it->second.last_heartbeat_us = nowUs();
+      it->second.last_heartbeat_us = steadyNowUs();
       registered = true;
     }
     schedWake_.notify_all();
@@ -251,7 +228,7 @@ void Coordinator::serveControl(std::shared_ptr<net::Connection> conn) {
         net::HeartbeatMsg::decode(frame);  // validate before trusting liveness
         MutexLock lock(mu_);
         const auto it = workers_.find(wid);
-        if (it != workers_.end()) it->second.last_heartbeat_us = nowUs();
+        if (it != workers_.end()) it->second.last_heartbeat_us = steadyNowUs();
         continue;
       }
       if (frame.type == net::FrameType::kTaskDone) {
@@ -306,7 +283,7 @@ void Coordinator::fetchTask(u32 m, u64 gen, u32 wid) {
   {
     MutexLock lock(mu_);
     TaskState& t = tasks_[m];
-    if (t.generation != gen || t.phase != TaskPhase::kWorkerDone) return;
+    if (sink_ == nullptr || t.generation != gen || t.phase != TaskPhase::kWorkerDone) return;
     const auto it = workers_.find(wid);
     if (it == workers_.end() || !it->second.alive) return;
     dataSocket = it->second.data_socket;
@@ -344,7 +321,7 @@ void Coordinator::fetchTask(u32 m, u64 gen, u32 wid) {
             return std::move(resp.segment);
           },
           [&](int attempt, const std::string&) {
-            result_.job.counters.add(counter::kShuffleFetchRetries, 1);
+            counters_.add(counter::kShuffleFetchRetries, 1);
             obs::emitEvent(obs::event::kShuffleFetchRetry, net::site::kNetFetch,
                            static_cast<u64>(attempt));
           });
@@ -363,24 +340,27 @@ void Coordinator::fetchTask(u32 m, u64 gen, u32 wid) {
 
 void Coordinator::publishFetched(u32 m, u64 gen, std::vector<Bytes> segments) {
   net::TaskDoneMsg done;
+  const hadoop::MapSideSink* sink = nullptr;
   {
     MutexLock lock(mu_);
     TaskState& t = tasks_[m];
-    if (t.generation != gen || t.phase != TaskPhase::kWorkerDone) return;  // stale fetch
+    // A stale fetch, or the map side already ended.
+    if (sink_ == nullptr || t.generation != gen || t.phase != TaskPhase::kWorkerDone) return;
+    sink = sink_;
     t.phase = TaskPhase::kPublished;
     ++published_;
     done = std::move(t.done);
     if (t.requeue_us != 0) {
-      recoveryLatencyUs_ = std::max(recoveryLatencyUs_, nowUs() - t.requeue_us);
+      recoveryLatencyUs_ = std::max(recoveryLatencyUs_, steadyNowUs() - t.requeue_us);
     }
   }
   // Fold the owner's stats and counter deltas exactly once, here: a task
   // that ran twice because its first owner died must not double-count.
-  result_.job.map_tasks[m].cpu_us = done.cpu_us;
-  result_.job.map_tasks[m].segment_bytes = done.segment_bytes;
-  for (const auto& [name, value] : done.counters) result_.job.counters.add(name, value);
+  sink->result.map_tasks[m].cpu_us = done.cpu_us;
+  sink->result.map_tasks[m].segment_bytes = done.segment_bytes;
+  for (const auto& [name, value] : done.counters) sink->result.counters.add(name, value);
   try {
-    server_->publish(m, std::move(segments));
+    sink->server.publish(m, std::move(segments));
   } catch (...) {
     setFatal(std::current_exception());
   }
@@ -405,8 +385,8 @@ void Coordinator::markWorkerDead(u32 wid, const char* reason, bool kill) {
     if (!shuttingDown_) {
       counted = true;
       ++result_.worker_deaths;
-      result_.job.counters.add(counter::kWorkerDeathsDetected, 1);
-      const u64 now = nowUs();
+      counters_.add(counter::kWorkerDeathsDetected, 1);
+      const u64 now = steadyNowUs();
       for (u32 m = 0; m < tasks_.size(); ++m) {
         TaskState& t = tasks_[m];
         if (t.phase != TaskPhase::kAssigned && t.phase != TaskPhase::kWorkerDone) continue;
@@ -415,7 +395,7 @@ void Coordinator::markWorkerDead(u32 wid, const char* reason, bool kill) {
         ++t.generation;  // invalidates in-flight fetches of the lost copy
         t.requeue_us = now;
         ++result_.tasks_reexecuted;
-        result_.job.counters.add(counter::kMapTasksReexecuted, 1);
+        counters_.add(counter::kMapTasksReexecuted, 1);
         requeued.push_back(m);
       }
       for (const auto& [id, other] : workers_) aliveLeft += other.alive ? 1 : 0;
@@ -443,10 +423,9 @@ void Coordinator::setFatal(std::exception_ptr e) {
     MutexLock lock(mu_);
     if (!fatal_) fatal_ = std::move(e);
   }
+  // The scheduler wakes and the map side ends with this error; the driver
+  // then aborts the shuffle so blocked reducers unwind.
   schedWake_.notify_all();
-  // Wake blocked reducers; their errors land in the reduce ErrorSlot but the
-  // fatal error wins at rethrow time.
-  if (server_) server_->abort();
 }
 
 bool Coordinator::findAssignmentLocked(u32& taskOut, u32& workerOut,
@@ -501,7 +480,7 @@ void Coordinator::monitorLoop() {
       if (!monStop_) monWake_.wait_for(lock, std::chrono::milliseconds(intervalMs));
       if (monStop_) return;
     }
-    const u64 now = nowUs();
+    const u64 now = steadyNowUs();
     std::vector<u32> timedOut;
     {
       MutexLock lock(mu_);
@@ -529,41 +508,6 @@ void Coordinator::monitorLoop() {
     // A hung worker never EOFs its control socket — this timeout is the only
     // way it gets caught.
     for (const u32 id : timedOut) markWorkerDead(id, "heartbeat_timeout", /*kill=*/true);
-  }
-}
-
-void Coordinator::reducerLoop(int r, const Codec* codec, ErrorSlot& errors) {
-  try {
-    std::vector<Bytes> segments;
-    {
-      MutexLock lock(mu_);
-      segments.resize(tasks_.size());
-    }
-    u64 shuffled = 0;
-    for (;;) {
-      obs::ScopedSpan span("segment_fetch", "shuffle");
-      auto fetched = server_->fetch(r);
-      if (!fetched) break;
-      span.arg("reducer", static_cast<u64>(r));
-      span.arg("map", fetched->map_index);
-      span.arg("bytes", fetched->segment.size());
-      shuffled += fetched->segment.size();
-      segments[fetched->map_index] = std::move(fetched->segment);
-    }
-    result_.job.counters.add(counter::kReduceShuffleBytes, shuffled);
-    result_.job.reduce_tasks[static_cast<std::size_t>(r)].shuffled_bytes = shuffled;
-    hadoop::ReduceTaskExecution exec =
-        hadoop::executeReduceTask(workload_.config, codec, &*codecPool_, workload_.reduce,
-                                  segments, r, &result_.job.counters);
-    hadoop::ReduceTaskStats& stats = result_.job.reduce_tasks[static_cast<std::size_t>(r)];
-    stats.cpu_us = exec.stats.cpu_us;
-    stats.merge_materialized_bytes = exec.stats.merge_materialized_bytes;
-    stats.merge_resident_peak_bytes = exec.stats.merge_resident_peak_bytes;
-    stats.output_bytes = exec.stats.output_bytes;
-    result_.job.outputs[static_cast<std::size_t>(r)] = std::move(exec.output);
-    result_.job.counters.merge(exec.counters);
-  } catch (...) {
-    errors.record();  // shuffle aborted or the reduce itself failed
   }
 }
 
@@ -637,7 +581,33 @@ void Coordinator::teardown() {
   }
 }
 
-DistributedResult Coordinator::run() {
+void Coordinator::prepare() {
+  for (int i = 0; i < config_.num_workers; ++i) spawnWorker(static_cast<u32>(i));
+  acceptThread_ = std::thread([this] { acceptLoop(); });
+  monitorThread_ = std::thread([this] { monitorLoop(); });
+}
+
+void Coordinator::run(const hadoop::MapSideSink& sink) {
+  {
+    MutexLock lock(mu_);
+    sink_ = &sink;
+  }
+  schedulerLoop();  // returns once every task has published, or on a fatal error
+  std::exception_ptr fatal;
+  {
+    MutexLock lock(mu_);
+    sink_ = nullptr;
+    shuttingDown_ = true;
+    fatal = fatal_;
+  }
+  // A fetch already past its sink_ check finishes its publish; queued ones
+  // now return without touching the server.
+  fetchPool_->wait();
+  sink.result.counters.merge(counters_);
+  if (fatal) std::rethrow_exception(fatal);
+}
+
+DistributedResult Coordinator::execute() {
   check(!config_.worker_command.empty(), "distributed run needs a worker command");
   check(config_.num_workers >= 1, "need at least one worker");
   check(!config_.work_dir.empty(), "distributed run needs a work directory");
@@ -646,30 +616,17 @@ DistributedResult Coordinator::run() {
     std::filesystem::create_directories(config_.worker_metrics_dir);
   }
   controlSocketPath_ = config_.work_dir / "coord.sock";
-
-  const std::size_t numTasks = workload_.map_tasks.size();
-  const int numReducers = workload_.config.num_reducers;
-  check(numTasks > 0, "workload has no map tasks");
-  result_.job.map_tasks.resize(numTasks);
-  result_.job.reduce_tasks.resize(static_cast<std::size_t>(numReducers));
-  result_.job.outputs.resize(static_cast<std::size_t>(numReducers));
+  check(numTasks() > 0, "workload has no map tasks");
   {
     MutexLock lock(mu_);
-    tasks_.resize(numTasks);
+    tasks_.resize(numTasks());
   }
 
-  std::unique_ptr<obs::MetricsStream> metrics;
-  if (!config_.metrics_path.empty()) {
-    metrics =
-        std::make_unique<obs::MetricsStream>(config_.metrics_path, config_.sample_interval_ms);
-    obs::setActiveMetrics(metrics.get());
-  }
-  struct ActiveMetricsReset {
-    bool active;
-    ~ActiveMetricsReset() {
-      if (active) obs::setActiveMetrics(nullptr);
-    }
-  } metricsReset{metrics != nullptr};
+  // The driver's telemetry scope owns the metrics stream and the sampler;
+  // the coordinator's settings stand in for the workload's.
+  hadoop::JobConfig jobConfig = workload_.config;
+  jobConfig.metrics_path = config_.metrics_path;
+  jobConfig.sample_interval_ms = config_.sample_interval_ms;
 
   obs::GaugeRegistration aliveGauge =
       obs::processGauges().add(obs::gauge::kDistWorkersAlive, [this] {
@@ -685,93 +642,18 @@ DistributedResult Coordinator::run() {
         for (const TaskState& t : tasks_) n += t.phase != TaskPhase::kPublished ? 1 : 0;
         return n;
       });
-  obs::Sampler sampler(config_.sample_interval_ms, obs::processGauges(), nullptr, metrics.get());
-  sampler.start();
 
-  registerTransformCodecs();
-  const auto codec = workload_.config.intermediate_codec == "null"
-                         ? nullptr
-                         : CodecRegistry::instance().create(workload_.config.intermediate_codec);
-  codecPool_.emplace(codecPoolThreads(workload_.config));
-  server_.emplace(numTasks, numReducers);
   fetchPool_.emplace(std::max(2, config_.num_workers));
   control_.emplace(controlSocketPath_);
-
-  for (int i = 0; i < config_.num_workers; ++i) spawnWorker(static_cast<u32>(i));
-
-  const u64 jobStart = nowUs();
-  ErrorSlot reduceErrors;
-  u64 mapEnd = 0;
-  u64 jobEnd = 0;
   try {
-    acceptThread_ = std::thread([this] { acceptLoop(); });
-    monitorThread_ = std::thread([this] { monitorLoop(); });
-    schedulerThread_ = std::thread([this] { schedulerLoop(); });
-
-    // Reduce side runs in-process against the local ShuffleServer the fetch
-    // pump fills — reducers block-fetch exactly like the pipelined runtime.
-    ThreadPool reducePool(workload_.config.reduce_slots);
-    for (int r = 0; r < numReducers; ++r) {
-      reducePool.submit([this, r, &codec, &reduceErrors] {
-        reducerLoop(r, codec.get(), reduceErrors);
-      });
-    }
-
-    schedulerThread_.join();
-    mapEnd = nowUs();
-    bool fatalNow = false;
-    {
-      MutexLock lock(mu_);
-      fatalNow = static_cast<bool>(fatal_);
-    }
-    if (fatalNow) server_->abort();  // unblock reducers waiting on lost publishes
-    fetchPool_->wait();
-    reducePool.wait();
-    jobEnd = nowUs();
+    result_.job = hadoop::runJob(jobConfig, *this, workload_.reduce);
   } catch (...) {
     teardown();
     throw;
   }
   teardown();
-
-  {
-    MutexLock lock(mu_);
-    if (fatal_) std::rethrow_exception(fatal_);
-  }
-  reduceErrors.rethrowIfSet();
-
-  result_.job.timings.map_phase_us = mapEnd - jobStart;
-  result_.job.timings.reduce_phase_us = jobEnd - mapEnd;
-  const u64 firstPublish = server_->firstPublishUs();
-  const u64 lastFetch = server_->lastFetchUs();
-  if (firstPublish != 0 && lastFetch > firstPublish) {
-    result_.job.timings.shuffle_us = lastFetch - firstPublish;
-    result_.job.timings.shuffle_overlap_us =
-        std::min(lastFetch, mapEnd) - std::min(firstPublish, mapEnd);
-  }
-
-  // Job-level resident peak is the max over reduce tasks, not the sum the
-  // per-task counters accumulated into (see counters.h).
-  u64 maxResidentPeak = 0;
-  for (const hadoop::ReduceTaskStats& t : result_.job.reduce_tasks) {
-    maxResidentPeak = std::max(maxResidentPeak, t.merge_resident_peak_bytes);
-  }
-  if (result_.job.counters.get(counter::kReduceMergeResidentPeakBytes) > 0) {
-    result_.job.counters.set(counter::kReduceMergeResidentPeakBytes, maxResidentPeak);
-  }
-
-  sampler.stop();
-  const auto rollups = sampler.rollups();
-  if (metrics != nullptr) metrics->writeSummary(rollups);
-  for (const auto& [name, roll] : rollups) {
-    result_.job.telemetry.gauges[name + ".max"] = roll.max;
-    result_.job.telemetry.gauges[name + ".mean"] = static_cast<u64>(roll.mean() + 0.5);
-  }
-  result_.job.telemetry.counters = result_.job.counters.snapshot();
-  {
-    MutexLock lock(mu_);
-    result_.recovery_latency_us = recoveryLatencyUs_;
-  }
+  MutexLock lock(mu_);
+  result_.recovery_latency_us = recoveryLatencyUs_;
   return std::move(result_);
 }
 
@@ -781,7 +663,7 @@ DistributedResult runDistributedJob(const std::string& workloadName,
                                     const std::vector<std::string>& workloadArgs,
                                     const DistributedConfig& config) {
   Coordinator coordinator(workloadName, workloadArgs, config);
-  return coordinator.run();
+  return coordinator.execute();
 }
 
 #else  // !SCISHUFFLE_HAVE_DISTRIBUTED

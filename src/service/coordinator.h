@@ -1,8 +1,15 @@
 // Distributed-run coordinator: forks N worker processes, assigns map tasks
-// over the net/ control plane, pulls finished segments over the data plane
-// into a local ShuffleServer, and runs the reduce side in-process — so the
-// mapper→reducer boundary the paper compresses is a genuine process+socket
-// boundary, not a queue hand-off.
+// over the net/ control plane, and pulls finished segments over the data
+// plane — so the mapper→reducer boundary the paper compresses is a genuine
+// process+socket boundary, not a queue hand-off.
+//
+// The coordinator is the distributed map side of the one job driver
+// (hadoop::runJob with a hadoop::MapSide, hadoop/runtime.h): its fetch pump
+// publishes into the driver's ShuffleServer, and the driver runs the reduce
+// side in-process, with the workload's verify/retry/trace/histogram settings
+// and the same PhaseTimings and telemetry as an in-process job. What stays
+// here is worker spawn, control plane and heartbeats, scheduling,
+// death/requeue, the data-plane fetch and teardown.
 //
 //   coordinator                              worker i (scishuffle_worker)
 //   ───────────                              ───────────────────────────
@@ -58,7 +65,8 @@ struct DistributedConfig {
   /// net.frame.recv), threaded into every coordinator-side connection.
   testing::FaultInjector* fault_injector = nullptr;
   /// Coordinator-side scishuffle.metrics.v1 stream (worker lifecycle events,
-  /// dist.* gauges); empty = none.
+  /// dist.* gauges, the job's own samples and events); empty = none. Both
+  /// replace the workload's JobConfig settings of the same name.
   std::filesystem::path metrics_path;
   u64 sample_interval_ms = 0;
   /// When set, each worker streams its own metrics to

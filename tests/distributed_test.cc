@@ -3,6 +3,9 @@
 // UNIX-socket transport. The invariant under test everywhere: whatever the
 // transport or the workers do — crash, hang, corrupt frames — the job either
 // completes bit-identically to the serial baseline or fails loudly.
+//
+// The binary has its own main: `distributed_test worker ...` runs a worker,
+// so a workload registered only here can still be rebuilt on the worker side.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,6 +19,7 @@
 #include "hadoop/runtime.h"
 #include "net/socket.h"
 #include "service/coordinator.h"
+#include "service/worker.h"
 #include "service/workload.h"
 #include "testing/fault_injector.h"
 
@@ -62,6 +66,18 @@ service::DistributedConfig baseConfig(const fs::path& dir, int workers) {
   cfg.transport_retry.base_backoff_us = 500;
   cfg.transport_retry.max_backoff_us = 20'000;
   return cfg;
+}
+
+/// wordcount with per-stage histograms on: the workload's own telemetry
+/// settings must reach a distributed run's result.
+constexpr const char* kHistogramWordcount = "wordcount_histograms";
+
+void registerTestWorkloads() {
+  service::registerWorkload(kHistogramWordcount, [](const std::vector<std::string>& args) {
+    service::Workload w = service::buildWorkload("wordcount", args);
+    w.config.collect_histograms = true;
+    return w;
+  });
 }
 
 std::string slurp(const fs::path& p) {
@@ -201,6 +217,22 @@ TEST(DistributedTest, HungWorkerCaughtByHeartbeatTimeout) {
   EXPECT_GE(dist.tasks_reexecuted, 1);
 }
 
+TEST(DistributedTest, WorkloadTelemetryReachesTheResult) {
+  TempDir dir;
+  const std::vector<std::string> args = {"6", "300"};
+  const service::Workload w = service::buildWorkload(kHistogramWordcount, args);
+  const hadoop::JobResult local = hadoop::runJob(w.config, w.map_tasks, w.reduce);
+  service::DistributedConfig cfg = baseConfig(dir.path, 2);
+  cfg.worker_command = {fs::read_symlink("/proc/self/exe").string(), "worker"};
+  const service::DistributedResult dist =
+      service::runDistributedJob(kHistogramWordcount, args, cfg);
+
+  EXPECT_EQ(dist.job.outputs, local.outputs);
+  EXPECT_EQ(dist.worker_deaths, 0);
+  EXPECT_GT(dist.job.telemetry.span_count, 0u);
+  EXPECT_NE(dist.job.telemetry.findHistogram("reduce_task_us"), nullptr);
+}
+
 TEST(DistributedTest, AllWorkersLostFailsLoudly) {
   TempDir dir;
   service::DistributedConfig cfg = baseConfig(dir.path, 1);
@@ -209,3 +241,12 @@ TEST(DistributedTest, AllWorkersLostFailsLoudly) {
 }
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  registerTestWorkloads();
+  if (argc > 1 && std::string(argv[1]) == "worker") {
+    return service::workerMainFromArgs(std::vector<std::string>(argv + 2, argv + argc));
+  }
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

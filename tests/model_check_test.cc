@@ -7,8 +7,8 @@
 // finds schedule-dependent assertion failures and that a printed seed
 // replays the exact failing interleaving. Then the real subsystems: the
 // shuffle server's publish/fetch/teardown under bounded-exhaustive DFS, the
-// job service's two shutdown modes, and a 500-schedule PCT soak of the
-// governor-squeeze control loop.
+// job driver's map-side failure path, the job service's two shutdown modes,
+// and a 500-schedule PCT soak of the governor-squeeze control loop.
 #include <gtest/gtest.h>
 
 #ifndef SCISHUFFLE_MODEL_CHECK
@@ -25,6 +25,7 @@ TEST(ModelCheckTest, RequiresModelCheckBuild) {
 #include <string>
 #include <vector>
 
+#include "hadoop/runtime.h"
 #include "hadoop/shuffle.h"
 #include "io/annotations.h"
 #include "io/thread.h"
@@ -261,6 +262,58 @@ TEST(ModelCheckShuffleTest, AbortWakesBlockedFetcher) {
   opts.max_schedules = 2000;
   const ExploreResult result = explore(body, opts);
   EXPECT_FALSE(result.failed) << result.failure;
+}
+
+/// A map side that publishes map 0's segments and then fails before map 1
+/// ever publishes: each reducer holds one segment and is parked waiting for
+/// the second when the error surfaces.
+class PublishThenThrowMapSide final : public hadoop::MapSide {
+ public:
+  std::size_t numTasks() const override { return 2; }
+  void run(const hadoop::MapSideSink& sink) override {
+    sink.server.publish(0, {bytesOf("map0-r0"), bytesOf("map0-r1")});
+    throw std::runtime_error("map side failed");
+  }
+};
+
+/// One driver run against the failing map side: the map side's own error must
+/// come back out of runJob. A fetcher the driver failed to unwind leaves
+/// reducePool.wait() blocked, which the scheduler reports as a deadlock.
+void runFailingMapSideBody() {
+  hadoop::JobConfig config;
+  config.num_reducers = 2;
+  config.reduce_slots = 2;
+  config.codec_threads = 1;
+  PublishThenThrowMapSide mapSide;
+  const hadoop::ReduceFn reduce = [](const Bytes&, std::vector<Bytes>&, const hadoop::EmitFn&) {};
+  try {
+    (void)hadoop::runJob(config, mapSide, reduce);
+  } catch (const std::runtime_error& e) {
+    if (std::string(e.what()) != "map side failed") {
+      throw std::logic_error(std::string("driver rethrew the wrong error: ") + e.what());
+    }
+    return;
+  }
+  throw std::logic_error("driver swallowed the map side's error");
+}
+
+TEST(ModelCheckDriverTest, MapSideFailureUnwindsFetchersUnderDfs) {
+  ExploreOptions opts;
+  opts.exhaustive = true;
+  opts.max_schedules = 4000;
+  const ExploreResult result = explore(runFailingMapSideBody, opts);
+  EXPECT_FALSE(result.failed) << "schedule " << result.failing_schedule << ": "
+                              << result.failure;
+  EXPECT_GT(result.schedules_run, 1);
+}
+
+TEST(ModelCheckDriverTest, MapSideFailureUnwindsFetchersUnderPct) {
+  ExploreOptions opts;
+  opts.max_schedules = 500;
+  opts.seed = 13;
+  const ExploreResult result = explore(runFailingMapSideBody, opts);
+  EXPECT_FALSE(result.failed) << "seed " << result.failing_seed << ": " << result.failure;
+  EXPECT_EQ(result.schedules_run, 500);
 }
 
 service::JobSpec tinyJob(const std::string& name) {

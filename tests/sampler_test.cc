@@ -1,8 +1,9 @@
 // Tests for the continuous-telemetry layer (ctest label: tsan): gauge
 // registry summing and RAII unregistration, sampler lifecycle (zero-interval
 // no-op, final-sample-on-stop, stop/teardown races), counter-event timestamp
-// monotonicity, the metrics JSONL round trip through `stat`, and the
-// disabled-path overhead smoke enforced by CI.
+// monotonicity, the metrics stream's own ts_us timeline, the metrics JSONL
+// round trip through `stat`, and the disabled-path overhead smoke enforced by
+// CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -206,6 +207,43 @@ TEST(MetricsStreamTest, TruncatedFileSummarizesWithSkippedLines) {
   EXPECT_EQ(summary.samples, 2u);
   EXPECT_EQ(summary.skipped_lines, 1u);
   EXPECT_EQ(summary.gauges.at("g").peak, 9u);
+}
+
+TEST(MetricsStreamTest, TimestampsAreRelativeToTheStreamAndNonDecreasing) {
+  const auto path = tempFile("timeline.jsonl");
+  const auto start = std::chrono::steady_clock::now();
+  u64 sampleTs = 0;
+  u64 eventTs = 0;
+  {
+    MetricsStream stream(path, 1);
+    sampleTs = stream.writeSample({{"g", 1}});
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    eventTs = stream.writeEvent(event::kTaskRetry, "map_task", 1);
+    stream.writeSummary({});
+  }
+  const u64 elapsedUs = static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() - start)
+          .count());
+  EXPECT_LE(sampleTs, eventTs);
+  EXPECT_LE(eventTs, elapsedUs);
+
+  // Every ts_us in the file (sample, event, summary) sits on the stream's own
+  // timeline: no larger than the time this test has been running, in order.
+  std::ifstream in(path);
+  std::string line;
+  std::vector<u64> stamps;
+  while (std::getline(in, line)) {
+    const auto at = line.find("\"ts_us\":");
+    if (at == std::string::npos) continue;
+    stamps.push_back(std::stoull(line.substr(at + 8)));
+  }
+  ASSERT_EQ(stamps.size(), 3u);
+  EXPECT_EQ(stamps[0], sampleTs);
+  EXPECT_EQ(stamps[1], eventTs);
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    EXPECT_LE(stamps[i], elapsedUs) << "line " << i;
+    if (i > 0) EXPECT_LE(stamps[i - 1], stamps[i]) << "line " << i;
+  }
 }
 
 TEST(MetricsStreamTest, EmitEventReachesOnlyTheActiveStream) {

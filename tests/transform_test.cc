@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 
 #include "transform/predictive_transform.h"
 #include "transform/stride_hints.h"
@@ -73,6 +74,10 @@ struct TransformCase {
   const char* name;
   TransformConfig config;
 };
+
+// gtest would otherwise print the raw bytes of the case, `name`'s pointer
+// included, so the listed test names would change with every load address.
+void PrintTo(const TransformCase& c, std::ostream* os) { *os << c.name; }
 
 class TransformRoundTrip : public ::testing::TestWithParam<TransformCase> {};
 
