@@ -36,7 +36,7 @@ using hadoop::MapTask;
 namespace {
 
 // Peak RSS, resettable between runs (same procfs dance as
-// bench_shuffle_pipeline.cc): malloc_trim drops the allocator's retained
+// bench_shuffle.cc): malloc_trim drops the allocator's retained
 // floor, clear_refs resets VmHWM so each configuration measures its own
 // high-water mark.
 void resetPeakRss() {
@@ -142,8 +142,7 @@ int main(int argc, char** argv) {
   std::map<std::string, JobResult> baselines;
   for (const std::string& codec : codecs) {
     service::JobSpec spec = wordcountSpec("baseline", codec, maps, words);
-    spec.config.shuffle_pipeline = false;
-    baselines.emplace(codec, hadoop::runJob(spec.config, spec.map_tasks, spec.reduce));
+    baselines.emplace(codec, hadoop::runJobSerial(spec.config, spec.map_tasks, spec.reduce));
   }
 
   // Single-job pipelined peak: the yardstick the budget derives from.

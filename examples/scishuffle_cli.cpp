@@ -362,9 +362,9 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
     }
   }
 
-  // The canonical word-count job, run twice: clean serial baseline, then
-  // pipelined under a fault plan that corrupts one shuffled segment and
-  // drops one fetch (docs/FAULTS.md).
+  // The canonical word-count job, run twice: a fault-free baseline on the
+  // serial oracle (runJobSerial), then runJob under a fault plan that
+  // corrupts one shuffled segment and drops one fetch (docs/FAULTS.md).
   const std::vector<std::string> vocab = {"the", "windspeed", "grid", "key",
                                           "map", "reduce",    "sci", "curve"};
   std::vector<hadoop::MapTask> tasks;
@@ -395,8 +395,7 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
   hadoop::JobConfig clean;
   clean.num_reducers = 3;
   clean.intermediate_codec = "gzipish";
-  clean.shuffle_pipeline = false;
-  const auto baseline = hadoop::runJob(clean, tasks, reduce);
+  const auto baseline = hadoop::runJobSerial(clean, tasks, reduce);
 
   testing::FaultPlan plan;
   plan.seed = 20260806;
@@ -405,7 +404,6 @@ int cmdFaultDemo(const std::vector<std::string>& args) {
   testing::FaultInjector faults(plan);
 
   hadoop::JobConfig faulted = clean;
-  faulted.shuffle_pipeline = true;
   faulted.fault_injector = &faults;
   faulted.shuffle_retry.enabled = true;
   faulted.collect_histograms = true;

@@ -1,6 +1,5 @@
 #include "hadoop/ifile.h"
 
-#include "io/clock.h"
 #include "io/crc32.h"
 #include "io/primitives.h"
 #include "io/streams.h"
@@ -29,14 +28,7 @@ Bytes IFileWriter::close() {
   writeVInt(sink, -1);
   writeVInt(sink, -1);
 
-  Bytes file;
-  if (codec_ != nullptr) {
-    const u64 start = steadyNowUs();
-    file = codec_->compress(payload_);
-    compressCpuUs_ = steadyNowUs() - start;
-  } else {
-    file = payload_;
-  }
+  Bytes file = codec_ != nullptr ? codec_->compress(payload_) : payload_;
   MemorySink out(file);
   writeU32(out, crc32(payload_));
   return file;
@@ -49,13 +41,7 @@ IFileReader::IFileReader(ByteSpan file, const Codec* codec) {
   MemorySource crcSource(crcBytes);
   const u32 expected = readU32(crcSource);
 
-  if (codec != nullptr) {
-    const u64 start = steadyNowUs();
-    payload_ = codec->decompress(body);
-    decompressCpuUs_ = steadyNowUs() - start;
-  } else {
-    payload_.assign(body.begin(), body.end());
-  }
+  payload_ = codec != nullptr ? codec->decompress(body) : Bytes(body.begin(), body.end());
   checkFormat(crc32(payload_) == expected, "IFile checksum mismatch");
 }
 
@@ -68,7 +54,6 @@ void IFileBlockWriter::append(ByteSpan key, ByteSpan value) {
   writer_.write(scratch_);
   writer_.write(key);
   writer_.write(value);
-  ++records_;
 }
 
 Bytes IFileBlockWriter::close() {

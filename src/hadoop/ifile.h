@@ -5,14 +5,15 @@
 // This per-record framing is exactly the "file overhead" bar of Fig. 8 and
 // part of the 26-bytes-per-record arithmetic of §I (see DESIGN.md §3).
 //
-// The record stream (marker included) is passed through the job's
-// intermediate codec as a whole, as Hadoop does when
-// mapreduce.map.output.compress is set — that is the legacy IFileWriter /
-// IFileReader pair. The pipelined shuffle instead wraps the same record
-// stream in the block-framed container (compress/block_format.h): records
-// stream through IFileBlockWriter into independently decompressible blocks,
-// and IFileStreamReader parses records back out of any ByteSource one block
-// at a time.
+// The runtime's segments wrap this record stream in the block-framed
+// container (compress/block_format.h): records stream through
+// IFileBlockWriter into independently decompressible blocks, and
+// IFileStreamReader parses records back out of any ByteSource one block at a
+// time. IFileWriter / IFileReader keep Hadoop's whole-file form (the record
+// stream, marker included, through the codec in one call, plus a CRC
+// trailer); no runtime path uses it. It is the byte-count reference for the
+// paper's E1 / E7 numbers (bench_intro_overhead, bench_fig8_aggregation,
+// tests/fidelity_test.cc).
 #pragma once
 
 #include <memory>
@@ -43,14 +44,10 @@ class IFileWriter {
   u64 rawBytes() const { return static_cast<u64>(payload_.size()); }
   u64 records() const { return records_; }
 
-  /// CPU time spent inside the codec during close(), for the cost model.
-  u64 compressCpuUs() const { return compressCpuUs_; }
-
  private:
   const Codec* codec_;
   Bytes payload_;
   u64 records_ = 0;
-  u64 compressCpuUs_ = 0;
   bool closed_ = false;
 };
 
@@ -63,17 +60,14 @@ class IFileReader {
   /// Next record, or nullopt at the end marker.
   std::optional<KeyValue> next();
 
-  u64 decompressCpuUs() const { return decompressCpuUs_; }
-
  private:
   Bytes payload_;
   std::size_t pos_ = 0;
   bool done_ = false;
-  u64 decompressCpuUs_ = 0;
 };
 
-/// IFile record stream materialized as a block-framed codec container
-/// (pipelined-shuffle segment format). Block boundaries fall every
+/// IFile record stream materialized as a block-framed codec container (the
+/// runtime's segment format). Block boundaries fall every
 /// `blockBytes` of raw record stream regardless of record boundaries; with a
 /// pool, sealed blocks compress concurrently while records keep streaming in.
 class IFileBlockWriter {
@@ -86,14 +80,11 @@ class IFileBlockWriter {
   /// Writes the (-1, -1) end marker and finalizes the container.
   Bytes close();
 
-  u64 rawBytes() const { return writer_.rawBytes(); }
-  u64 records() const { return records_; }
   u64 compressCpuUs() const { return writer_.compressCpuUs(); }
 
  private:
   BlockCompressedWriter writer_;
   Bytes scratch_;
-  u64 records_ = 0;
   bool closed_ = false;
 };
 

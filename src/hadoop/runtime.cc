@@ -187,11 +187,10 @@ void runReduceTaskWithRetries(const JobConfig& config, const Codec* codec, Threa
   }
 }
 
-/// Legacy serial data path: map barrier, then a single-threaded copy loop,
-/// then the reduce phase. Kept for one release as the A/B baseline for the
-/// pipelined shuffle.
-JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapTasks,
-                       const ReduceFn& reduce, const Codec* codec, const JobContext* ctx) {
+/// The serial oracle's data path: map barrier, then a single-threaded copy
+/// loop, then the reduce phase.
+JobResult serialDataPath(const JobConfig& config, const std::vector<MapTask>& mapTasks,
+                         const ReduceFn& reduce, const Codec* codec) {
   JobResult result;
   result.map_tasks.resize(mapTasks.size());
   result.reduce_tasks.resize(static_cast<std::size_t>(config.num_reducers));
@@ -207,14 +206,12 @@ JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapT
     PoolGauges poolGauges(pool);
     for (std::size_t m = 0; m < mapTasks.size(); ++m) {
       pool.submit([&, m] {
-        if (cancelRequested(ctx)) return;  // cancelled: stop scheduling work
         mapOutputs[m] = runMapTaskWithRetries(config, codec, nullptr, mapTasks[m], m,
                                               result.map_tasks[m], result.counters, errors);
       });
     }
     pool.wait();
   }
-  if (cancelRequested(ctx)) throw JobCancelledError();
   errors.rethrowIfSet();
   result.timings.map_phase_us = steadyNowUs() - mapStart;
 
@@ -246,7 +243,6 @@ JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapT
     PoolGauges poolGauges(pool);
     for (int r = 0; r < config.num_reducers; ++r) {
       pool.submit([&, r] {
-        if (cancelRequested(ctx)) return;
         const std::vector<Bytes> segments =
             std::move(reducerSegments[static_cast<std::size_t>(r)]);
         runReduceTaskWithRetries(config, codec, nullptr, reduce, segments, result, outputsMutex,
@@ -255,7 +251,6 @@ JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapT
     }
     pool.wait();
   }
-  if (cancelRequested(ctx)) throw JobCancelledError();
   errors.rethrowIfSet();
   result.timings.reduce_phase_us = steadyNowUs() - reduceStart;
 
@@ -705,11 +700,6 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
 
 JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
                  const ReduceFn& reduce, const JobContext* ctx) {
-  if (!config.shuffle_pipeline) {
-    return runWithTelemetry(config, ctx, mapTasks.size(), [&](const Codec* codec) {
-      return runJobSerial(config, mapTasks, reduce, codec, ctx);
-    });
-  }
   SlotPoolMapSide mapSide(config, mapTasks, ctx);
   return runJob(config, mapSide, reduce, ctx);
 }
@@ -718,6 +708,13 @@ JobResult runJob(const JobConfig& config, MapSide& mapSide, const ReduceFn& redu
                  const JobContext* ctx) {
   return runWithTelemetry(config, ctx, mapSide.numTasks(), [&](const Codec* codec) {
     return driveJob(config, mapSide, reduce, codec, ctx);
+  });
+}
+
+JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapTasks,
+                       const ReduceFn& reduce) {
+  return runWithTelemetry(config, nullptr, mapTasks.size(), [&](const Codec* codec) {
+    return serialDataPath(config, mapTasks, reduce, codec);
   });
 }
 

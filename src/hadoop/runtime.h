@@ -8,8 +8,9 @@
 // PhaseTimings, and the job's telemetry. What produces the map output is a
 // MapSide plugged into it: runJob's map-slot pool around executeMapTask, or
 // the distributed coordinator's scheduler and fetch pump
-// (service/coordinator.h). The legacy serial path (shuffle_pipeline = false)
-// stays beside it as the bit-identity oracle.
+// (service/coordinator.h). runJobSerial stays beside it only as the
+// bit-identity test oracle: the same segment format and reduce side behind a
+// map barrier and a single-threaded copy loop.
 #pragma once
 
 #include <atomic>
@@ -42,12 +43,12 @@ struct MapTask {
 /// These are *local machine* timings; the cluster cost model combines them
 /// with byte counters to project the paper's 5-node setup.
 ///
-/// Legacy (shuffle_pipeline = false): the three phases are disjoint and sum
-/// to the job wall clock. Pipelined: reducers fetch while maps still run, so
-/// shuffle_us is the first-publish..last-fetch window, shuffle_overlap_us is
-/// the part of that window hidden under the map phase, and
-/// map_phase_us + reduce_phase_us ~= job wall clock (reduce_phase_us is the
-/// tail after the last map finished).
+/// runJob: reducers fetch while maps still run, so shuffle_us is the
+/// first-publish..last-fetch window, shuffle_overlap_us is the part of that
+/// window hidden under the map phase, and map_phase_us + reduce_phase_us ~=
+/// job wall clock (reduce_phase_us is the tail after the last map finished).
+/// runJobSerial: the three phases are disjoint and sum to the job wall clock,
+/// and shuffle_overlap_us stays 0.
 struct PhaseTimings {
   u64 map_phase_us = 0;        // all map tasks, wall time of the phase
   u64 shuffle_us = 0;          // segment hand-off window
@@ -68,8 +69,8 @@ struct ReduceTaskStats {
   u64 shuffled_bytes = 0;
   u64 merge_materialized_bytes = 0;
   u64 output_bytes = 0;
-  /// Streaming-merge decoded-bytes high-water mark (pipelined path only):
-  /// bounded by O(segments x block size) instead of total shuffled bytes.
+  /// Streaming-merge decoded-bytes high-water mark: bounded by
+  /// O(segments x block size) instead of total shuffled bytes.
   u64 merge_resident_peak_bytes = 0;
 };
 
@@ -214,8 +215,16 @@ JobResult runJob(const JobConfig& config, const std::vector<MapTask>& mapTasks,
 
 /// The job driver with a caller-supplied map side: the same pipelined job
 /// and telemetry as above, with map tasks executed wherever `mapSide` runs
-/// them. JobConfig::shuffle_pipeline is not consulted.
+/// them.
 JobResult runJob(const JobConfig& config, MapSide& mapSide, const ReduceFn& reduce,
                  const JobContext* ctx = nullptr);
+
+/// Bit-identity test oracle: the same job behind a map barrier, then a
+/// single-threaded copy loop (`shuffle_copy`) and the reduce pool, with no
+/// codec pool and no ShuffleServer (so no fetch retry, verify or overflow).
+/// Segments are the same block-framed bytes, so outputs, record counters and
+/// the materialized, shuffled, merge-pass and per-segment bytes equal runJob's.
+JobResult runJobSerial(const JobConfig& config, const std::vector<MapTask>& mapTasks,
+                       const ReduceFn& reduce);
 
 }  // namespace scishuffle::hadoop

@@ -31,14 +31,7 @@ MapOutputBuffer::MapOutputBuffer(const JobConfig& config, const Codec* codec, Co
 }
 
 Bytes MapOutputBuffer::writeSegment(const std::vector<KeyValue>& records) {
-  if (config_->shuffle_pipeline) {
-    IFileBlockWriter writer(codec_, config_->shuffle_block_bytes, codecPool_);
-    for (const KeyValue& kv : records) writer.append(kv.key, kv.value);
-    Bytes segment = writer.close();
-    counters_->add(counter::kCodecCompressCpuUs, writer.compressCpuUs());
-    return segment;
-  }
-  IFileWriter writer(codec_);
+  IFileBlockWriter writer(codec_, config_->shuffle_block_bytes, codecPool_);
   for (const KeyValue& kv : records) writer.append(kv.key, kv.value);
   Bytes segment = writer.close();
   counters_->add(counter::kCodecCompressCpuUs, writer.compressCpuUs());
@@ -47,16 +40,10 @@ Bytes MapOutputBuffer::writeSegment(const std::vector<KeyValue>& records) {
 
 std::vector<KeyValue> MapOutputBuffer::readSegmentRecords(const Bytes& segment) {
   std::vector<KeyValue> records;
-  if (config_->shuffle_pipeline) {
-    BlockDecodeSource source(segment, codec_, codecPool_);
-    IFileStreamReader reader(source);
-    while (auto kv = reader.next()) records.push_back(std::move(*kv));
-    counters_->add(counter::kCodecDecompressCpuUs, source.decompressCpuUs());
-  } else {
-    IFileReader reader(segment, codec_);
-    counters_->add(counter::kCodecDecompressCpuUs, reader.decompressCpuUs());
-    while (auto kv = reader.next()) records.push_back(std::move(*kv));
-  }
+  BlockDecodeSource source(segment, codec_, codecPool_);
+  IFileStreamReader reader(source);
+  while (auto kv = reader.next()) records.push_back(std::move(*kv));
+  counters_->add(counter::kCodecDecompressCpuUs, source.decompressCpuUs());
   return records;
 }
 

@@ -74,7 +74,7 @@ struct DistributedConfig {
   /// soak uploads).
   std::filesystem::path worker_metrics_dir;
   /// Extra argv appended for worker i (test hooks: --exit-after-tasks /
-  /// --hang-after-tasks). Workers beyond the vector get none.
+  /// --crash-token / --hang-after-tasks). Workers beyond the vector get none.
   std::vector<std::vector<std::string>> extra_worker_args;
 };
 

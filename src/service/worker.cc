@@ -1,5 +1,8 @@
 #include "service/worker.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
@@ -46,6 +49,21 @@ class SegmentStore {
   mutable Mutex mu_{lock_rank::kSegmentStore};
   std::map<u32, std::vector<Bytes>> store_ GUARDED_BY(mu_);
 };
+
+/// Crash dummy: die exactly like SIGKILL would — no unwinding, no goodbye on
+/// the control plane, segments lost with the process. With a crash token, only
+/// the worker that claims it dies; the others return and carry on.
+void crashUnlessClaimed(const WorkerOptions& options) {
+  if (!options.crash_token.empty()) {
+    const int fd = ::open(options.crash_token.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+    if (fd < 0) return;  // another worker claimed it first
+    const std::string id = std::to_string(options.worker_id);
+    const bool written = ::write(fd, id.data(), id.size()) == static_cast<ssize_t>(id.size());
+    ::close(fd);
+    if (!written) return;
+  }
+  std::_Exit(137);
+}
 
 /// Serves FetchRequest/FetchResponse exchanges on one reducer connection
 /// until the peer hangs up. Transport errors just end the connection — the
@@ -221,10 +239,8 @@ int runWorkerMain(const WorkerOptions& options) {
       break;
     }
     const net::AssignMsg assign = net::AssignMsg::decode(frame);
-    if (options.exit_after_tasks >= 0 && completed >= options.exit_after_tasks) {
-      // Crash dummy: die exactly like SIGKILL would — no unwinding, no
-      // goodbye on the control plane, segments lost with the process.
-      std::_Exit(137);
+    if (options.exit_after_tasks >= 0 && completed == options.exit_after_tasks) {
+      crashUnlessClaimed(options);
     }
     if (options.hang_after_tasks >= 0 && completed >= options.hang_after_tasks) {
       // Stall dummy: stop heartbeating and responding but keep the process
@@ -284,6 +300,8 @@ int workerMainFromArgs(const std::vector<std::string>& args) {
         options.heartbeat_interval_ms = std::stoull(next());
       } else if (args[i] == "--exit-after-tasks") {
         options.exit_after_tasks = std::stol(next());
+      } else if (args[i] == "--crash-token") {
+        options.crash_token = next();
       } else if (args[i] == "--hang-after-tasks") {
         options.hang_after_tasks = std::stol(next());
       } else if (args[i] == "--metrics-out") {

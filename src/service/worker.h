@@ -37,8 +37,14 @@ struct WorkerOptions {
   std::vector<std::string> workload_args;
   u64 heartbeat_interval_ms = 20;
   /// Test hook: after completing this many tasks, _Exit(137) on the next
-  /// Assign — a deterministic stand-in for SIGKILL mid-shuffle. <0 = never.
+  /// Assign — a deterministic stand-in for SIGKILL mid-shuffle. A worker the
+  /// scheduler gives no more than this many tasks never gets there. <0 = never.
   i64 exit_after_tasks = -1;
+  /// When set, exit_after_tasks fires only in the worker that first claims
+  /// this file (created exclusively, holding its worker id); a worker that
+  /// finds it taken carries on. Every worker given the same hook and token:
+  /// exactly one dies, the first to be handed its (n+1)-th task.
+  std::filesystem::path crash_token;
   /// Test hook: after completing this many tasks, stop responding AND stop
   /// heartbeating (but stay alive) — exercises the heartbeat-timeout
   /// detection path rather than control-plane EOF. <0 = never.
@@ -55,7 +61,8 @@ int runWorkerMain(const WorkerOptions& options);
 
 /// Parses `--control <path> --data <path> --id <n> --workload <name>
 /// [--workload-arg <a>]... [--heartbeat-ms <n>] [--exit-after-tasks <n>]
-/// [--hang-after-tasks <n>] [--metrics-out <path>] [--sample-ms <n>]` and
+/// [--crash-token <path>] [--hang-after-tasks <n>] [--metrics-out <path>]
+/// [--sample-ms <n>]` and
 /// runs the worker. Shared by the scishuffle_worker binary and the CLI
 /// `worker` subcommand.
 int workerMainFromArgs(const std::vector<std::string>& args);

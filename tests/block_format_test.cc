@@ -15,6 +15,7 @@
 #include "io/primitives.h"
 #include "io/streams.h"
 #include "transform/transform_codec.h"
+#include "job_identity.h"
 
 namespace scishuffle {
 namespace {
@@ -183,7 +184,7 @@ Bytes encodeI64(i64 v) {
   return out;
 }
 
-JobResult runWordCountJob(JobConfig config, int docs, int words, u32 seed) {
+JobResult runWordCountJob(JobConfig config, int docs, int words, u32 seed, bool serial = false) {
   const std::vector<std::string> vocab = {"the", "windspeed", "grid", "key",
                                           "map", "reduce",    "sci",  "curve"};
   std::vector<MapTask> tasks;
@@ -202,44 +203,33 @@ JobResult runWordCountJob(JobConfig config, int docs, int words, u32 seed) {
     }
     emit(key, encodeI64(sum));
   };
-  return runJob(config, tasks, reduce);
-}
-
-std::map<std::string, u64> recordCounters(const JobResult& result) {
-  std::map<std::string, u64> records;
-  for (const auto& [name, value] : result.counters.snapshot()) {
-    if (name.find("CPU_US") == std::string::npos && name.find("BYTES") == std::string::npos) {
-      records[name] = value;
-    }
-  }
-  return records;
+  return serial ? hadoop::runJobSerial(config, tasks, reduce) : runJob(config, tasks, reduce);
 }
 
 TEST(PipelinedShuffleTest, EightConcurrentJobsMatchTheSerialPath) {
-  JobConfig serialConfig;
-  serialConfig.shuffle_pipeline = false;
-  serialConfig.num_reducers = 3;
-  serialConfig.map_slots = 4;
-  serialConfig.intermediate_codec = "gzipish";
-  serialConfig.spill_buffer_bytes = 2048;  // several spills per task
-  const JobResult baseline = runWordCountJob(serialConfig, 6, 400, 321);
-
-  JobConfig pipeConfig = serialConfig;
-  pipeConfig.shuffle_pipeline = true;
-  pipeConfig.shuffle_block_bytes = 1 << 10;
-  pipeConfig.codec_threads = 2;
+  JobConfig config;
+  config.num_reducers = 3;
+  config.map_slots = 4;
+  config.intermediate_codec = "gzipish";
+  config.spill_buffer_bytes = 2048;  // several spills per task
+  config.shuffle_block_bytes = 1 << 10;
+  config.codec_threads = 2;
+  config.merge_factor = 4;  // 6 segments per reducer: one extra merge pass
+  const JobResult baseline = runWordCountJob(config, 6, 400, 321, /*serial=*/true);
+  ASSERT_GT(baseline.counters.get(hadoop::counter::kReduceMergeMaterializedBytes), 0u);
 
   std::vector<JobResult> results(8);
   std::vector<std::thread> jobs;
   for (std::size_t j = 0; j < results.size(); ++j) {
-    jobs.emplace_back(
-        [&, j] { results[j] = runWordCountJob(pipeConfig, 6, 400, 321); });
+    jobs.emplace_back([&, j] { results[j] = runWordCountJob(config, 6, 400, 321); });
   }
   for (auto& t : jobs) t.join();
 
   for (const JobResult& result : results) {
     EXPECT_EQ(result.outputs, baseline.outputs);  // bit-identical reduce outputs
-    EXPECT_EQ(recordCounters(result), recordCounters(baseline));
+    EXPECT_EQ(testing::recordCounters(result), testing::recordCounters(baseline));
+    // Same segment format on both paths, so the same bytes at every stage.
+    EXPECT_EQ(testing::segmentByteCounts(result), testing::segmentByteCounts(baseline));
   }
 }
 

@@ -22,6 +22,7 @@
 #include "service/worker.h"
 #include "service/workload.h"
 #include "testing/fault_injector.h"
+#include "job_identity.h"
 
 namespace {
 
@@ -51,7 +52,7 @@ struct TempDir {
 
 hadoop::JobResult serialBaseline(const std::vector<std::string>& args) {
   service::Workload w = service::buildWorkload("wordcount", args);
-  return hadoop::runJob(w.config, w.map_tasks, w.reduce);
+  return hadoop::runJobSerial(w.config, w.map_tasks, w.reduce);
 }
 
 service::DistributedConfig baseConfig(const fs::path& dir, int workers) {
@@ -102,12 +103,11 @@ TEST(DistributedTest, TwoWorkersBitIdenticalToSerial) {
   EXPECT_EQ(dist.job.counters.get(counter::kWorkerDeathsDetected), 0u);
   // The record-level counters travel worker -> coordinator in TaskDone
   // messages and must fold to exactly the serial totals.
-  EXPECT_EQ(dist.job.counters.get(counter::kMapOutputRecords),
-            serial.counters.get(counter::kMapOutputRecords));
-  EXPECT_EQ(dist.job.counters.get(counter::kReduceOutputRecords),
-            serial.counters.get(counter::kReduceOutputRecords));
-  EXPECT_EQ(dist.job.counters.get(counter::kReduceShuffleBytes),
-            serial.counters.get(counter::kReduceShuffleBytes));
+  EXPECT_EQ(scishuffle::testing::recordCounters(dist.job),
+            scishuffle::testing::recordCounters(serial));
+  // Segments cross the process boundary byte for byte.
+  EXPECT_EQ(scishuffle::testing::segmentByteCounts(dist.job),
+            scishuffle::testing::segmentByteCounts(serial));
   EXPECT_GT(dist.job.timings.map_phase_us, 0u);
   EXPECT_GT(dist.job.timings.shuffle_us, 0u);
 }

@@ -2,6 +2,7 @@
 // (word count, sum-by-key) across codec / combiner / spill / slot settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <map>
@@ -179,29 +180,47 @@ TEST(EngineTest, CustomRouterSplitsRecords) {
 
 TEST(EngineTest, MergePassesTriggerWhenSegmentsExceedFactor) {
   // 30 mappers, merge factor 4 -> the reducer must run extra merge passes.
+  // Keys tie across mappers and the reducer emits every value in arrival
+  // order, so the outputs show the merge's tie order: extra passes must not
+  // change it, and it must be the stable sort by key of every record in map
+  // order.
+  constexpr int kMaps = 30;
+  std::vector<MapTask> tasks;
+  std::vector<std::pair<std::string, i64>> expected;
+  for (int m = 0; m < kMaps; ++m) {
+    tasks.push_back(MapTask{[m](const EmitFn& emit) {
+      emit(toBytes("key" + std::to_string(m % 7)), encodeI64(m));
+    }});
+    expected.emplace_back("key" + std::to_string(m % 7), m);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+    for (const auto& v : values) emit(key, v);
+  };
+  const auto records = [](const JobResult& result) {
+    std::vector<std::pair<std::string, i64>> out;
+    for (const auto& kv : result.outputs.at(0)) {
+      out.emplace_back(toString(kv.key), decodeI64(kv.value));
+    }
+    return out;
+  };
+
   JobConfig config;
   config.num_reducers = 1;
   config.merge_factor = 4;
   config.map_slots = 8;
-  std::vector<MapTask> tasks;
-  for (int m = 0; m < 30; ++m) {
-    tasks.push_back(MapTask{[m](const EmitFn& emit) {
-      emit(toBytes("key" + std::to_string(m % 7)), encodeI64(m));
-    }});
-  }
-  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
-    i64 sum = 0;
-    for (const auto& v : values) sum += decodeI64(v);
-    emit(key, encodeI64(sum));
-  };
-  const JobResult result = runJob(config, tasks, reduce);
-  EXPECT_GT(result.counters.get(counter::kReduceMergePasses), 0u);
-  EXPECT_GT(result.counters.get(counter::kReduceMergeMaterializedBytes), 0u);
-  i64 total = 0;
-  for (const auto& out : result.outputs) {
-    for (const auto& kv : out) total += decodeI64(kv.value);
-  }
-  EXPECT_EQ(total, 29 * 30 / 2);
+  const JobResult passes = runJob(config, tasks, reduce);
+  EXPECT_GT(passes.counters.get(counter::kReduceMergePasses), 0u);
+  EXPECT_GT(passes.counters.get(counter::kReduceMergeMaterializedBytes), 0u);
+
+  config.merge_factor = kMaps;
+  const JobResult single = runJob(config, tasks, reduce);
+  EXPECT_EQ(single.counters.get(counter::kReduceMergePasses), 0u);
+
+  EXPECT_EQ(passes.outputs, single.outputs);
+  EXPECT_EQ(records(single), expected);
+  EXPECT_EQ(records(passes), expected);
 }
 
 TEST(EngineTest, MapperExceptionPropagates) {

@@ -18,8 +18,8 @@ namespace {
 using scishuffle::testing::JsonParser;
 using scishuffle::testing::JsonValue;
 
-JobResult runTinyJob(bool withCombiner,
-                     const std::function<void(JobConfig&)>& tweak = {}) {
+JobResult runTinyJob(bool withCombiner, const std::function<void(JobConfig&)>& tweak = {},
+                     bool serial = false) {
   JobConfig config;
   config.num_reducers = 2;
   if (withCombiner) {
@@ -39,7 +39,7 @@ JobResult runTinyJob(bool withCombiner,
   const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
     emit(key, Bytes{static_cast<u8>(values.size())});
   };
-  return runJob(config, tasks, reduce);
+  return serial ? runJobSerial(config, tasks, reduce) : runJob(config, tasks, reduce);
 }
 
 TEST(ReportTest, MentionsEveryPhaseAndCounter) {
@@ -102,10 +102,10 @@ TEST(ReportJsonTest, ParsesAndCountersMatchSnapshot) {
 }
 
 TEST(ReportJsonTest, LegacyTimingFieldsHaveNoOverlap) {
-  const auto result = runTinyJob(false, [](JobConfig& c) { c.shuffle_pipeline = false; });
+  const auto result = runTinyJob(false, {}, /*serial=*/true);
   const JsonValue doc = JsonParser::parse(jobReportJson(result));
   const JsonValue& timings = doc.at("timings");
-  // The serial path times shuffle as its own phase and never overlaps it
+  // The serial oracle times shuffle as its own phase and never overlaps it
   // with the map phase.
   EXPECT_TRUE(timings.has("map_phase_us"));
   EXPECT_GT(timings.at("shuffle_us").asU64(), 0u);
@@ -114,7 +114,7 @@ TEST(ReportJsonTest, LegacyTimingFieldsHaveNoOverlap) {
 }
 
 TEST(ReportJsonTest, PipelinedTimingReportsOverlap) {
-  const auto result = runTinyJob(false, [](JobConfig& c) { c.shuffle_pipeline = true; });
+  const auto result = runTinyJob(false);
   const JsonValue doc = JsonParser::parse(jobReportJson(result));
   const JsonValue& timings = doc.at("timings");
   // Pipelined, shuffle_us spans firstPublish..lastFetch and the overlap
@@ -160,7 +160,6 @@ TEST(ReportTraceTest, TraceFileCoversEveryStageCategory) {
   const std::filesystem::path path = dir.file("report_test_trace.json");
   runTinyJob(false, [&path](JobConfig& c) {
     c.trace_path = path;
-    c.shuffle_pipeline = true;
     c.intermediate_codec = "gzipish";  // ensures real codec work -> codec spans
   });
   ASSERT_TRUE(std::filesystem::exists(path));
@@ -179,7 +178,7 @@ TEST(ReportTraceTest, TraceFileCoversEveryStageCategory) {
 }
 
 TEST(ReportTest, ResidentPeakCounterIsMaxOverReduceTasksNotSum) {
-  const auto result = runTinyJob(false, [](JobConfig& c) { c.shuffle_pipeline = true; });
+  const auto result = runTinyJob(false);
   u64 maxPeak = 0;
   u64 sumPeak = 0;
   for (const auto& t : result.reduce_tasks) {

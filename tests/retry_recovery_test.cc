@@ -204,7 +204,6 @@ JobResult runWordCount(JobConfig config) {
 JobConfig faultedConfig(scishuffle::testing::FaultInjector* faults) {
   JobConfig config;
   config.num_reducers = 3;
-  config.shuffle_pipeline = true;
   config.intermediate_codec = "gzipish";
   config.fault_injector = faults;
   config.shuffle_retry = enabledPolicy(4);

@@ -1,14 +1,19 @@
-// Worker-kill soak: repeated distributed runs with a seeded-random worker
-// dying SIGKILL-style (_Exit, no unwind, no goodbye frame) at a random point
-// in the task stream — sometimes before its first task, sometimes deep into
-// the shuffle. Every round must recover and produce output bit-identical to
-// the serial baseline, and every round leaves per-worker metrics JSONL
-// artifacts (CI uploads them via SCISHUFFLE_SOAK_METRICS_DIR).
+// Worker-kill soak: repeated distributed runs in which one worker dies
+// SIGKILL-style (_Exit, no unwind, no goodbye frame) at a seeded-random point
+// in its task stream — sometimes before its first task, sometimes deep into
+// the shuffle. The kill point goes to every worker behind one crash token, so
+// the worker that dies is whichever reaches it first, and a death is certain
+// however the scheduler shares the tasks out. Every round must recover and
+// produce output, record counters and segment bytes identical to the serial
+// oracle, and every round leaves per-worker metrics JSONL artifacts (CI
+// uploads them via SCISHUFFLE_SOAK_METRICS_DIR).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "hadoop/runtime.h"
 #include "service/coordinator.h"
 #include "service/workload.h"
+#include "job_identity.h"
 #include "testing_support.h"
 
 namespace {
@@ -39,6 +45,13 @@ struct ScratchDir {
   }
 };
 
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
 TEST(StressDistributedTest, RandomWorkerKillSoakStaysBitIdentical) {
   const u64 seed = propertySeed();
   std::mt19937_64 rng(seed);
@@ -47,7 +60,7 @@ TEST(StressDistributedTest, RandomWorkerKillSoakStaysBitIdentical) {
   const std::vector<std::string> args = {"10", "500"};
   const service::Workload workload = service::buildWorkload("wordcount", args);
   const hadoop::JobResult serial =
-      hadoop::runJob(workload.config, workload.map_tasks, workload.reduce);
+      hadoop::runJobSerial(workload.config, workload.map_tasks, workload.reduce);
 
   // Per-round metrics artifacts: overridable so CI can upload them.
   fs::path metricsRoot;
@@ -78,13 +91,17 @@ TEST(StressDistributedTest, RandomWorkerKillSoakStaysBitIdentical) {
     cfg.sample_interval_ms = 10;
     cfg.worker_metrics_dir = metricsRoot / ("round-" + std::to_string(round));
 
-    // Seeded-random victim and kill point. With 10 tasks on 3 workers every
-    // worker gets at least a few assignments, so the victim always dies.
-    const int victim = static_cast<int>(rng() % kWorkers);
+    // Seeded-random kill point, given to every worker with one crash token:
+    // exactly one worker dies, the first to be handed its (killAfter+1)-th
+    // task. The scheduler gives each task to whichever registered worker is
+    // idle, so a single pre-chosen victim may get too few tasks and never die;
+    // across all workers the point is certain, since 10 tasks on 3 workers
+    // give some worker at least 4 assignments.
     const int killAfter = static_cast<int>(rng() % 3);
-    SCOPED_TRACE(::testing::Message() << "victim=" << victim << " killAfter=" << killAfter);
-    cfg.extra_worker_args.resize(kWorkers);
-    cfg.extra_worker_args[victim] = {"--exit-after-tasks", std::to_string(killAfter)};
+    SCOPED_TRACE(::testing::Message() << "killAfter=" << killAfter);
+    const fs::path token = dir.path / "crash-token";
+    cfg.extra_worker_args.assign(kWorkers, {"--exit-after-tasks", std::to_string(killAfter),
+                                            "--crash-token", token.string()});
 
     const service::DistributedResult dist = service::runDistributedJob("wordcount", args, cfg);
 
@@ -93,8 +110,15 @@ TEST(StressDistributedTest, RandomWorkerKillSoakStaysBitIdentical) {
     EXPECT_GE(dist.tasks_reexecuted, 1);
     EXPECT_EQ(dist.job.counters.get(counter::kMapOutputRecords),
               serial.counters.get(counter::kMapOutputRecords));
+    // A re-executed task's stats and counters fold in once, so the bytes
+    // match the oracle's too.
+    EXPECT_EQ(scishuffle::testing::segmentByteCounts(dist.job),
+              scishuffle::testing::segmentByteCounts(serial));
+    const std::string victim = slurp(token);
+    ASSERT_FALSE(victim.empty()) << "no worker claimed the crash token";
+    SCOPED_TRACE(::testing::Message() << "victim=" << victim);
     for (int w = 0; w < kWorkers; ++w) {
-      if (w == victim) continue;  // the victim's stream may be cut anywhere
+      if (std::to_string(w) == victim) continue;  // the victim's stream may be cut anywhere
       EXPECT_TRUE(fs::exists(cfg.worker_metrics_dir / ("worker-" + std::to_string(w) + ".jsonl")))
           << "missing metrics artifact for surviving worker " << w;
     }

@@ -1,7 +1,8 @@
 // Randomized multi-tenant soak (ctest label: stress): one JobService runs a
 // fleet of concurrent word-count jobs across mixed codecs, priorities and
-// seeded fault plans, under a memory governor. Every job's output must be
-// bit-identical to a serial no-fault baseline, the governor's observed RSS
+// seeded fault plans, under a memory governor. Every job's output and
+// segment byte counts must be identical to a no-fault run of the serial
+// oracle (hadoop::runJobSerial), the governor's observed RSS
 // must stay under its budget, and each job's metrics stream lands as a JSONL
 // file (CI uploads the directory as an artifact). Seeded via
 // SCISHUFFLE_PROP_SEED so a failure replays exactly.
@@ -20,6 +21,7 @@
 #include "io/streams.h"
 #include "service/job_service.h"
 #include "testing/fault_injector.h"
+#include "job_identity.h"
 #include "testing_support.h"
 
 namespace scishuffle::service {
@@ -179,8 +181,8 @@ TEST(StressJobServiceTest, ConcurrentFaultedFleetMatchesSerialBaselines) {
     if (slot.find(codec) == slot.end()) {
       JobSpec serial = specFor(workloads[static_cast<std::size_t>(w)], "baseline", codec,
                                Priority::kNormal);
-      serial.config.shuffle_pipeline = false;
-      slot.emplace(codec, hadoop::runJob(serial.config, serial.map_tasks, serial.reduce));
+      slot.emplace(codec,
+                   hadoop::runJobSerial(serial.config, serial.map_tasks, serial.reduce));
     }
 
     JobSpec spec = specFor(workloads[static_cast<std::size_t>(w)],
@@ -206,6 +208,8 @@ TEST(StressJobServiceTest, ConcurrentFaultedFleetMatchesSerialBaselines) {
     const hadoop::JobResult& baseline =
         baselines[static_cast<std::size_t>(p.workload)].at(p.codec);
     ASSERT_EQ(result.outputs, baseline.outputs) << "diverged from the serial baseline";
+    EXPECT_EQ(scishuffle::testing::segmentByteCounts(result),
+              scishuffle::testing::segmentByteCounts(baseline));
   }
 
   // Governor verdicts: it sampled, and aggregate RSS never broke the budget.
@@ -238,9 +242,8 @@ TEST(StressJobServiceTest, TightBudgetThrottlesWithoutCorruption) {
 
   const Workload workload = makeWorkload(rng);
   JobSpec serial = specFor(workload, "baseline", "gzipish", Priority::kNormal);
-  serial.config.shuffle_pipeline = false;
   const hadoop::JobResult baseline =
-      hadoop::runJob(serial.config, serial.map_tasks, serial.reduce);
+      hadoop::runJobSerial(serial.config, serial.map_tasks, serial.reduce);
 
   TempDir overflow("svc_tight_overflow");
   ServiceConfig config;
@@ -266,6 +269,9 @@ TEST(StressJobServiceTest, TightBudgetThrottlesWithoutCorruption) {
     hadoop::JobResult result;
     ASSERT_NO_THROW(result = service.takeResult(id)) << "job " << id;
     ASSERT_EQ(result.outputs, baseline.outputs) << "job " << id << " diverged under throttle";
+    EXPECT_EQ(scishuffle::testing::segmentByteCounts(result),
+              scishuffle::testing::segmentByteCounts(baseline))
+        << "job " << id;
   }
   const MemoryGovernor* governor = service.governor();
   ASSERT_NE(governor, nullptr);

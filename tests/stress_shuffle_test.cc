@@ -1,7 +1,8 @@
 // Randomized soak (ctest label: stress): 200 word-count jobs across random
-// codec x pipeline x fault-plan combinations, each asserting bit-identical
-// output against a no-fault serial baseline. Every job derives from
-// SCISHUFFLE_PROP_SEED, so a failure replays exactly.
+// codec x runJob-or-oracle x fault-plan combinations, each asserting
+// bit-identical output and equal segment byte counts against a no-fault
+// serial-oracle baseline. Every job derives from SCISHUFFLE_PROP_SEED, so a
+// failure replays exactly.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,6 +14,7 @@
 #include "hadoop/runtime.h"
 #include "io/primitives.h"
 #include "io/streams.h"
+#include "job_identity.h"
 #include "testing/fault_injector.h"
 #include "testing_support.h"
 
@@ -65,7 +67,7 @@ Workload makeWorkload(std::mt19937_64& rng) {
   return w;
 }
 
-JobResult runWordCount(const Workload& w, JobConfig config) {
+JobResult runWordCount(const Workload& w, JobConfig config, bool serial = false) {
   config.num_reducers = w.num_reducers;
   config.spill_buffer_bytes = w.spill_buffer;
   config.codec_threads = 2;  // keep 200 pool spin-ups cheap
@@ -82,7 +84,7 @@ JobResult runWordCount(const Workload& w, JobConfig config) {
     for (const auto& v : values) sum += decodeI64(v);
     emit(key, encodeI64(sum));
   };
-  return runJob(config, tasks, reduce);
+  return serial ? runJobSerial(config, tasks, reduce) : runJob(config, tasks, reduce);
 }
 
 /// Random plan over the pipelined path's injection sites. Trigger counts stay
@@ -141,14 +143,13 @@ TEST(StressShuffleTest, TwoHundredRandomizedJobsMatchSerialBaseline) {
     auto& baselineSlot = baselines[static_cast<std::size_t>(w)];
     if (baselineSlot.find(codec) == baselineSlot.end()) {
       JobConfig serial;
-      serial.shuffle_pipeline = false;
       serial.intermediate_codec = codec;
-      baselineSlot.emplace(codec, runWordCount(workloads[static_cast<std::size_t>(w)], serial));
+      baselineSlot.emplace(
+          codec, runWordCount(workloads[static_cast<std::size_t>(w)], serial, /*serial=*/true));
     }
     const JobResult& baseline = baselineSlot.at(codec);
 
     JobConfig config;
-    config.shuffle_pipeline = pipelined;
     config.intermediate_codec = codec;
     config.max_task_attempts = 3;
     config.shuffle_retry.enabled = true;
@@ -158,18 +159,24 @@ TEST(StressShuffleTest, TwoHundredRandomizedJobsMatchSerialBaseline) {
     config.shuffle_retry.seed = rng();
 
     // Fault sites only exist on the pipelined data path; serial jobs soak
-    // the codec/pipeline matrix without injection.
+    // the oracle itself across the codec matrix without injection.
     std::optional<scishuffle::testing::FaultInjector> faults;
     if (pipelined) {
       faults.emplace(randomPlan(rng));
       config.fault_injector = &*faults;
     }
 
-    const JobResult result = runWordCount(workloads[static_cast<std::size_t>(w)], config);
-    ASSERT_EQ(result.outputs, baseline.outputs)
-        << "job " << job << " (codec " << codec << ", pipelined " << pipelined
-        << ", workload " << w << ", seed " << seed << ") diverged from the serial baseline;"
-        << " replay with SCISHUFFLE_PROP_SEED=" << seed;
+    const JobResult result =
+        runWordCount(workloads[static_cast<std::size_t>(w)], config, /*serial=*/!pipelined);
+    SCOPED_TRACE(::testing::Message()
+                 << "job " << job << " (codec " << codec << ", pipelined " << pipelined
+                 << ", workload " << w << ", seed " << seed
+                 << "); replay with SCISHUFFLE_PROP_SEED=" << seed);
+    ASSERT_EQ(result.outputs, baseline.outputs) << "diverged from the serial baseline";
+    // Recovered faults leave no trace in the bytes: same segments, same
+    // shuffle, same merge passes.
+    ASSERT_EQ(scishuffle::testing::segmentByteCounts(result),
+              scishuffle::testing::segmentByteCounts(baseline));
   }
 }
 
