@@ -4,7 +4,7 @@
 //
 // We execute the job for real at laptop scale (simple keys, 10 mappers,
 // 5 reducers) with codec "null" vs "transform+gzipish", then project byte
-// and CPU counters to the paper's dataset on the 5-node cost model.
+// and CPU counters to the paper's dataset on the 5-node event simulator.
 #include <iostream>
 
 #include "cluster_median_common.h"
@@ -28,22 +28,16 @@ int main() {
   auto gb = [&](u64 bytes) { return humanBytes(static_cast<double>(bytes) * scale); };
 
   Table table({"configuration", "intermediate (projected)", "reduction", "runtime (projected)",
-               "vs plain", "event-sim runtime"});
-  table.addRow({"plain (no codec)", gb(plain.materialized), "-",
-                fixed(plain.projected.total() / 60.0, 1) + " min", "-",
-                fixed(plain.simulated.total_s / 60.0, 1) + " min"});
-  table.addRow({"gzipish codec", gb(gz.materialized),
-                percentChange(static_cast<double>(plain.materialized),
-                              static_cast<double>(gz.materialized)),
-                fixed(gz.projected.total() / 60.0, 1) + " min",
-                percentChange(plain.projected.total(), gz.projected.total()),
-                fixed(gz.simulated.total_s / 60.0, 1) + " min"});
-  table.addRow({"transform+gzipish codec", gb(transformed.materialized),
-                percentChange(static_cast<double>(plain.materialized),
-                              static_cast<double>(transformed.materialized)),
-                fixed(transformed.projected.total() / 60.0, 1) + " min",
-                percentChange(plain.projected.total(), transformed.projected.total()),
-                fixed(transformed.simulated.total_s / 60.0, 1) + " min"});
+               "vs plain"});
+  table.addRow({"plain (no codec)", gb(plain.materialized), "-", plain.runtime(), "-"});
+  auto addCodecRow = [&](const char* name, const RunOutcome& run) {
+    table.addRow({name, gb(run.materialized),
+                  percentChange(static_cast<double>(plain.materialized),
+                                static_cast<double>(run.materialized)),
+                  run.runtime(), percentChange(plain.simulated.total_s, run.simulated.total_s)});
+  };
+  addCodecRow("gzipish codec", gz);
+  addCodecRow("transform+gzipish codec", transformed);
   table.print();
 
   const double gzCpu =
@@ -54,7 +48,7 @@ int main() {
             << fixed(trCpu / gzCpu, 1) << "x (paper: ~2.9x)\n";
   std::cout << "paper: intermediate -77.8% (55.5 -> 12.3 GB); runtime +106% (183 -> 377 min)\n";
   std::cout << "\nphase breakdown (transform+gzipish): "
-            << transformed.projected.toString() << "\n";
-  std::cout << "phase breakdown (plain):              " << plain.projected.toString() << "\n";
+            << transformed.simulated.toString() << "\n";
+  std::cout << "phase breakdown (plain):              " << plain.simulated.toString() << "\n";
   return 0;
 }

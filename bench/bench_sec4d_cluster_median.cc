@@ -23,22 +23,19 @@ int main() {
   auto gb = [&](u64 bytes) { return humanBytes(static_cast<double>(bytes) * scale); };
 
   Table table({"configuration", "intermediate (projected)", "reduction", "runtime (projected)",
-               "vs plain", "event-sim runtime"});
-  table.addRow({"simple keys", gb(plain.materialized), "-",
-                fixed(plain.projected.total() / 60.0, 1) + " min", "-",
-                fixed(plain.simulated.total_s / 60.0, 1) + " min"});
+               "vs plain"});
+  table.addRow({"simple keys", gb(plain.materialized), "-", plain.runtime(), "-"});
   table.addRow({"aggregate keys", gb(aggregated.materialized),
                 percentChange(static_cast<double>(plain.materialized),
                               static_cast<double>(aggregated.materialized)),
-                fixed(aggregated.projected.total() / 60.0, 1) + " min",
-                percentChange(plain.projected.total(), aggregated.projected.total()),
-                fixed(aggregated.simulated.total_s / 60.0, 1) + " min"});
+                aggregated.runtime(),
+                percentChange(plain.simulated.total_s, aggregated.simulated.total_s)});
   table.print();
 
   std::cout << "\npaper: intermediate -60.7% (55.5 -> 21.8 GB); runtime -28.5% (183 -> 131 min)\n";
   std::cout << "key splits at reducers (overlap): "
             << aggregated.counters.get(hadoop::counter::kKeySplitsOverlap) << "\n";
-  std::cout << "\nphase breakdown (aggregate): " << aggregated.projected.toString() << "\n";
-  std::cout << "phase breakdown (plain):     " << plain.projected.toString() << "\n";
+  std::cout << "\nphase breakdown (aggregate): " << aggregated.simulated.toString() << "\n";
+  std::cout << "phase breakdown (plain):     " << plain.simulated.toString() << "\n";
   return 0;
 }

@@ -1,13 +1,14 @@
 // Shared setup for the two cluster experiments (E6 §III-E codec run,
 // E8 §IV-D aggregation run): a sliding 3x3 median over a grid of integers on
 // a simulated 5-node cluster with 5 reducers and 10 map slots, projected to
-// the paper's dataset size by the cost model.
+// the paper's dataset size by the event simulator.
 #pragma once
 
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "bench_util/bench_util.h"
-#include "cluster/cost_model.h"
 #include "cluster/simulator.h"
 #include "hadoop/runtime.h"
 #include "scikey/sliding_query.h"
@@ -16,6 +17,10 @@ namespace scishuffle::bench {
 
 /// The grid actually executed locally (360^2 keeps every bench run fast).
 constexpr i64 kLocalSide = 360;
+
+/// Measured runs per configuration, after one discarded warm-up job: the
+/// projection replays measured CPU seconds, which vary run to run.
+constexpr int kRepeats = 5;
 
 /// Paper run: intermediate data was 55.5 GB at 26 B/record and 9 emits/cell
 /// => ~2.37e8 input cells. The scale factor projects local counters there.
@@ -33,20 +38,21 @@ inline cluster::ClusterSpec paperCluster() {
   return spec;
 }
 
+/// The median run (by projected runtime) of one configuration, with the
+/// runtime range over all repeats.
 struct RunOutcome {
-  u64 materialized = 0;
-  cluster::PhaseBreakdown projected;     // closed-form model
-  cluster::SimOutcome simulated;         // discrete-event simulator
+  u64 materialized = 0;  // identical across repeats
   hadoop::Counters counters;
-};
+  cluster::SimOutcome simulated;
+  double min_total_s = 0;
+  double max_total_s = 0;
 
-inline u64 outputBytes(const hadoop::JobResult& result) {
-  u64 total = 0;
-  for (const auto& out : result.outputs) {
-    for (const auto& kv : out) total += kv.key.size() + kv.value.size();
+  /// "13.3 min (12.1-15.0)": median projected runtime and its range.
+  std::string runtime() const {
+    return fixed(simulated.total_s / 60.0, 1) + " min (" + fixed(min_total_s / 60.0, 1) + "-" +
+           fixed(max_total_s / 60.0, 1) + ")";
   }
-  return total;
-}
+};
 
 inline RunOutcome runConfiguration(const grid::Variable& input, bool aggregate,
                                    const std::string& codec) {
@@ -61,17 +67,26 @@ inline RunOutcome runConfiguration(const grid::Variable& input, bool aggregate,
 
   scikey::PreparedJob job = aggregate ? buildAggregateSlidingJob(input, config, base)
                                       : buildSimpleSlidingJob(input, config, base);
-  const auto result = hadoop::runJob(job.job, job.map_tasks, job.reduce);
-
-  RunOutcome outcome;
-  outcome.counters = result.counters;
-  outcome.materialized = result.counters.get(hadoop::counter::kMapOutputMaterializedBytes);
   const cluster::ClusterSpec spec = paperCluster();
-  outcome.projected = cluster::CostModel(spec).estimate(result.counters, outputBytes(result),
-                                                        paperScale());
-  outcome.simulated = cluster::EventSimulator(spec).run(
-      cluster::simJobFromResult(result, spec, paperScale()));
-  return outcome;
+  hadoop::runJob(job.job, job.map_tasks, job.reduce);  // warm-up, discarded
+
+  std::vector<RunOutcome> runs(kRepeats);
+  for (RunOutcome& run : runs) {
+    const auto result = hadoop::runJob(job.job, job.map_tasks, job.reduce);
+    run.counters = result.counters;
+    run.materialized = result.counters.get(hadoop::counter::kMapOutputMaterializedBytes);
+    run.simulated = cluster::EventSimulator(spec).run(
+        cluster::simJobFromResult(result, spec, paperScale()));
+    check(run.materialized == runs.front().materialized,
+          "materialized bytes differ across repeats");
+  }
+  std::sort(runs.begin(), runs.end(), [](const RunOutcome& a, const RunOutcome& b) {
+    return a.simulated.total_s < b.simulated.total_s;
+  });
+  RunOutcome median = runs[runs.size() / 2];
+  median.min_total_s = runs.front().simulated.total_s;
+  median.max_total_s = runs.back().simulated.total_s;
+  return median;
 }
 
 }  // namespace scishuffle::bench

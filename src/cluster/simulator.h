@@ -1,25 +1,40 @@
-// Discrete-event cluster simulator: a finer-grained alternative to the
-// closed-form CostModel. Tasks are scheduled FCFS onto slots pinned to
-// nodes; each node's disk and NIC are serially-shared resources, so waves,
-// stragglers, and link contention emerge instead of being averaged away.
+// Discrete-event cluster simulator: the repo's cluster model. The job really
+// executes on this machine, so per-task CPU seconds are *measured* and byte
+// counts are exact; the simulator replays them on a parameterized cluster
+// (DESIGN.md §2). Tasks are scheduled FCFS onto slots pinned to nodes; each
+// node's disk and NIC are serially-shared resources, so waves, stragglers,
+// and link contention emerge instead of being averaged away.
 //
 // Timeline per the paper's Fig. 1:
 //   map task   = CPU burst on a slot, then local disk write of its segments;
 //   shuffle    = per-(mapper, reducer) transfer: source disk read, source
 //                NIC, destination NIC, destination disk write — starting
 //                when the mapper finishes (Hadoop overlaps shuffle with the
-//                map phase, which the closed-form model cannot express);
+//                map phase);
 //   reduce     = starts when all of the reducer's segments have landed:
 //                extra merge passes (disk), then CPU, then output write.
+//
+// simJobFromResult's `scale` projects a laptop-sized run to the paper's
+// dataset size by multiplying every byte count and CPU second (both linear in
+// input cells for these workloads; Fig. 4 establishes it for the transform).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "cluster/cost_model.h"
 #include "hadoop/runtime.h"
 
 namespace scishuffle::cluster {
+
+struct ClusterSpec {
+  int nodes = 5;
+  int map_slots = 10;      // total across the cluster
+  int reduce_slots = 5;    // total across the cluster
+  double disk_mb_per_s = 90.0;   // per node, sequential
+  double net_mb_per_s = 110.0;   // per node (~1 GbE)
+  /// Ratio of paper-era core speed to this machine (CPU seconds multiplier).
+  double cpu_scale = 1.0;
+};
 
 /// Per-task workload description, scale-free (bytes + CPU seconds).
 struct SimJob {

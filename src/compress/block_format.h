@@ -64,7 +64,7 @@ class BlockCompressedWriter {
   u64 blocksWritten() const { return blocks_; }
 
   /// Summed per-block CPU spent inside the codec (equals the serial cost even
-  /// when blocks compress in parallel — the cluster cost model needs CPU
+  /// when blocks compress in parallel — the cluster simulator needs CPU
   /// work, not wall time).
   u64 compressCpuUs() const { return cpuUs_.load(std::memory_order_relaxed); }
 

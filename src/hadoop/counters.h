@@ -54,7 +54,8 @@ inline constexpr const char* kShuffleSegmentsOverflowed = "SHUFFLE_SEGMENTS_OVER
 // before their output was safely fetched.
 inline constexpr const char* kWorkerDeathsDetected = "WORKER_DEATHS_DETECTED";
 inline constexpr const char* kMapTasksReexecuted = "MAP_TASKS_REEXECUTED";
-// CPU accounting for the cluster cost model (microseconds).
+// CPU accounting (microseconds). Each task's sum of these is its
+// MapTaskStats/ReduceTaskStats::cpu_us, which the cluster simulator replays.
 inline constexpr const char* kMapCpuUs = "MAP_CPU_US";
 inline constexpr const char* kCodecCompressCpuUs = "CODEC_COMPRESS_CPU_US";
 inline constexpr const char* kCodecDecompressCpuUs = "CODEC_DECOMPRESS_CPU_US";

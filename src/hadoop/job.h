@@ -46,6 +46,7 @@ struct JobConfig {
 
   /// Maximum segments merged per pass on the reduce side; more segments
   /// cause extra on-disk merge passes (step 5 of the paper's data flow).
+  /// At least 2: the reduce-side merge rejects smaller values.
   int merge_factor = 10;
 
   /// When set, map-side spill segments are written to real files under this

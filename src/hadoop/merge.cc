@@ -16,6 +16,9 @@ MergedSegmentStream::MergedSegmentStream(std::vector<Bytes> segments, const Code
       residentGauge_(obs::processGauges().add(obs::gauge::kMergeResidentBytes, [this] {
         return residentSegmentBytes_.load(std::memory_order_relaxed);
       })) {
+  // A pass merges merge_factor segments into one; fewer than two never
+  // shrinks the set, and the pass loop below would not terminate.
+  check(config.merge_factor >= 2, "merge_factor must be at least 2");
   obs::ScopedSpan span("merge_open", "merge");
   span.arg("segments", segments.size());
   // Multi-pass merging: while too many segments, merge merge_factor adjacent

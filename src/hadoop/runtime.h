@@ -40,8 +40,9 @@ struct MapTask {
 };
 
 /// Wall-clock phase durations measured during the run (microseconds).
-/// These are *local machine* timings; the cluster cost model combines them
-/// with byte counters to project the paper's 5-node setup.
+/// These are *local machine* timings; the cluster simulator (src/cluster)
+/// projects per-task CPU seconds and byte counts onto the paper's 5-node
+/// setup instead, and simfidelity_test holds its phase times against these.
 ///
 /// runJob: reducers fetch while maps still run, so shuffle_us is the
 /// first-publish..last-fetch window, shuffle_overlap_us is the part of that
@@ -121,10 +122,6 @@ struct JobContext {
   /// the pending-bytes limit while the job runs.
   std::function<void(ShuffleServer&)> attach_shuffle;
   std::function<void(ShuffleServer&)> detach_shuffle;
-  /// The service registers the shared byte-pool gauges once for its own
-  /// lifetime; per-job registration would double-count them (same-name
-  /// gauge sources are summed).
-  bool service_owns_pool_gauges = false;
 };
 
 /// One map task's materialized result: the per-reducer segments plus the

@@ -4,7 +4,7 @@
 // Segments are IFile record streams in the block-framed codec container
 // (IFileBlockWriter); with a codec pool, per-block compression fans out
 // across it, and CODEC_COMPRESS_CPU_US still sums per-block CPU so the
-// cluster cost model stays honest. The bytes do not depend on the pool.
+// cluster simulator's CPU input stays honest. The bytes do not depend on the pool.
 #pragma once
 
 #include <atomic>

@@ -87,11 +87,6 @@ std::size_t GaugeRegistry::sourceCount() const {
   return sources_.size();
 }
 
-GaugeRegistry& processGauges() {
-  static GaugeRegistry* registry = new GaugeRegistry();  // leaked: process lifetime
-  return *registry;
-}
-
 // ---- Sampler ---------------------------------------------------------------
 
 Sampler::Sampler(u64 intervalMs, GaugeRegistry& registry, TraceRecorder* recorder,

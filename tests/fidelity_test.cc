@@ -1,14 +1,19 @@
 // Fidelity gate (ctest label: fidelity): the paper's deterministic byte
-// counts, exactly as bench_intro_overhead (E1, §I) and bench_fig8_aggregation
-// (E7, Fig. 8) print them and EXPERIMENTS.md reports them. Both benches count
+// counts, exactly as bench_intro_overhead (E1, §I), bench_fig3_compression
+// (E3, Fig. 3), bench_fig5_stride_selection (E5b) and bench_fig8_aggregation
+// (E7, Fig. 8) print them and EXPERIMENTS.md reports them. E1 and E7 count
 // through bench/ifile_sizes.h, so a change to the IFile framing, the key
-// serializers or the aggregator that moves a printed number fails here.
-// Full-size inputs: each case takes about a second.
+// serializers or the aggregator that moves a printed number fails here; E3
+// and E5b pin the transform and bzip2ish output sizes. The gzipish rows of E3
+// are not pinned yet: they move with the LZ77 3-byte-match fix (ROADMAP).
+// Full-size inputs: each case takes one to two seconds.
 #include <gtest/gtest.h>
 
 #include "bench_util/bench_util.h"
+#include "compress/bzip2ish.h"
 #include "grid/dataset.h"
 #include "ifile_sizes.h"
+#include "transform/predictive_transform.h"
 
 namespace scishuffle {
 namespace {
@@ -49,6 +54,39 @@ TEST(FidelityE1, AggregateKeysReduceTheOverheadToAConstant) {
   EXPECT_EQ(aggregated.file, 4'006'000u);
   EXPECT_EQ(aggregated.keys, 5'236u);
   EXPECT_EQ(aggregated.values, 4'000'000u);
+}
+
+TEST(FidelityE3, Bzip2ishRowOfFig3) {
+  const Bytes stream = bench::gridWalkStream(100);
+  ASSERT_EQ(stream.size(), 12'000'000u);
+  EXPECT_EQ(Bzip2ishCodec{}.compress(stream).size(), 556'140u);
+}
+
+TEST(FidelityE3, TransformBzip2ishRowOfFig3) {
+  const Bytes residuals = transform::PredictiveTransform{}.forward(bench::gridWalkStream(100));
+  EXPECT_EQ(Bzip2ishCodec{}.compress(residuals).size(), 952u);
+}
+
+TEST(FidelityE5, StridePolicySizesAfterBzip2ish) {
+  const Bytes stream = bench::gridWalkStream(40);
+  const Bzip2ishCodec bzip2ish;
+  auto compressedWith = [&](const transform::TransformConfig& config) {
+    return bzip2ish.compress(transform::PredictiveTransform(config).forward(stream)).size();
+  };
+
+  transform::TransformConfig single12;
+  single12.explicit_strides = {12};
+  single12.adaptive = false;
+  EXPECT_EQ(compressedWith(single12), 766u);
+
+  transform::TransformConfig exhaustive;
+  exhaustive.max_stride = 99;
+  exhaustive.adaptive = false;
+  EXPECT_EQ(compressedWith(exhaustive), 850u);
+
+  transform::TransformConfig adaptive;
+  adaptive.max_stride = 100;
+  EXPECT_EQ(compressedWith(adaptive), 117u);
 }
 
 TEST(FidelityE7, OneMapperBreakdownMatchesFig8) {

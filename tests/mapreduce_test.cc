@@ -223,6 +223,21 @@ TEST(EngineTest, MergePassesTriggerWhenSegmentsExceedFactor) {
   EXPECT_EQ(records(passes), expected);
 }
 
+TEST(EngineTest, MergeFactorBelowTwoIsRejected) {
+  // A merge pass over fewer than two segments never reduces their number.
+  std::vector<MapTask> tasks;
+  for (int m = 0; m < 3; ++m) {
+    tasks.push_back(MapTask{[m](const EmitFn& emit) { emit(toBytes("k"), encodeI64(m)); }});
+  }
+  const ReduceFn reduce = [](const Bytes&, std::vector<Bytes>&, const EmitFn&) {};
+  JobConfig config;
+  config.num_reducers = 1;
+  for (const int factor : {1, 0}) {
+    config.merge_factor = factor;
+    EXPECT_THROW(runJob(config, tasks, reduce), std::logic_error) << "merge_factor " << factor;
+  }
+}
+
 TEST(EngineTest, MapperExceptionPropagates) {
   JobConfig config;
   std::vector<MapTask> tasks{MapTask{[](const EmitFn&) { throw std::runtime_error("boom"); }}};

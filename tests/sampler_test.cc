@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "hadoop/runtime.h"
+#include "io/buffer_pool.h"
 #include "io/primitives.h"
 #include "io/streams.h"
 #include "obs/metrics_stream.h"
@@ -79,6 +80,17 @@ TEST(GaugeRegistryTest, UnregistrationBlocksOutSampling) {
   stop.store(true, std::memory_order_relaxed);
   samplerThread.join();
   EXPECT_EQ(registry.sourceCount(), 0u);
+}
+
+TEST(GaugeRegistryTest, ProcessRegistryCarriesTheSharedPoolGaugesOnce) {
+  // The shared byte pool is process-global: its gauges are registered outside
+  // any job, by one source each, so a sample reads the pool's own account.
+  VectorPool<u8>& pool = sharedBytePool();
+  auto lease = pool.lease(1u << 20);
+  const auto sample = processGauges().sample();
+  EXPECT_GE(pool.outstandingBytes(), u64{1} << 20);
+  EXPECT_EQ(sample.at(gauge::kPoolOutstandingBytes), pool.outstandingBytes());
+  EXPECT_EQ(sample.at(gauge::kPoolHwmBytes), pool.hwmBytes());
 }
 
 // ---------------------------------------------------------------- sampler

@@ -78,7 +78,7 @@ TEST(SimulatorTest, CrossNodeTrafficUsesNics) {
 
 TEST(SimulatorTest, ShuffleOverlapsMapPhase) {
   // Two map waves; the first wave's segments should be in flight while the
-  // second wave computes, so the job beats the closed-form serial estimate.
+  // second wave computes, so the job beats running the phases back to back.
   SimJob job;
   for (int i = 0; i < 8; ++i) job.maps.push_back(mapTask(2.0, {50'000'000}));
   job.reduces.push_back({0.0, 0, 0});
@@ -141,6 +141,34 @@ TEST(SimulatorTest, SimJobFromResultScales) {
   EXPECT_NEAR(job.reduces[0].cpu_s, 1.0 * 10.0 * 2.0, 1e-9);
   EXPECT_EQ(job.reduces[0].merge_bytes, 500u);
   EXPECT_EQ(job.reduces[0].output_bytes, 750u);
+}
+
+TEST(SimulatorTest, ProjectionIsLinearInScale) {
+  // paperScale() projects a laptop run onto the paper's dataset: every time
+  // the simulator reports must grow by exactly the scale factor.
+  hadoop::JobResult result;
+  for (int m = 0; m < 13; ++m) {
+    result.map_tasks.push_back({1'000'000u + 100'000u * static_cast<u64>(m),
+                                {4'000'000, 9'000'000, 1'000'000}});
+  }
+  for (int r = 0; r < 3; ++r) result.reduce_tasks.push_back({2'000'000, 0, 3'000'000, 500'000});
+  const ClusterSpec spec = unitSpec(2, 4, 2);
+  const auto x1 = EventSimulator(spec).run(simJobFromResult(result, spec, 1.0));
+  const auto x10 = EventSimulator(spec).run(simJobFromResult(result, spec, 10.0));
+
+  auto expectTenfold = [](double one, double ten) { EXPECT_NEAR(ten, 10.0 * one, 1e-6 * ten); };
+  expectTenfold(x1.map_phase_done_s, x10.map_phase_done_s);
+  expectTenfold(x1.shuffle_done_s, x10.shuffle_done_s);
+  expectTenfold(x1.total_s, x10.total_s);
+  ASSERT_EQ(x1.map_finish_s.size(), x10.map_finish_s.size());
+  for (std::size_t m = 0; m < x1.map_finish_s.size(); ++m) {
+    expectTenfold(x1.map_finish_s[m], x10.map_finish_s[m]);
+  }
+  ASSERT_EQ(x1.reduce_finish_s.size(), x10.reduce_finish_s.size());
+  for (std::size_t r = 0; r < x1.reduce_finish_s.size(); ++r) {
+    expectTenfold(x1.reduce_finish_s[r], x10.reduce_finish_s[r]);
+  }
+  EXPECT_GT(x1.total_s, 0.0);
 }
 
 TEST(SimulatorTest, EmptyJob) {
