@@ -47,6 +47,9 @@ int main() {
   std::cout << "\ncompression CPU, transform+gzipish vs gzipish alone: "
             << fixed(trCpu / gzCpu, 1) << "x (paper: ~2.9x)\n";
   std::cout << "paper: intermediate -77.8% (55.5 -> 12.3 GB); runtime +106% (183 -> 377 min)\n";
+  std::cout << "\nreducer shares of shuffled bytes (plain):             " << plain.reducerShares()
+            << "\nreducer shares of shuffled bytes (transform+gzipish): "
+            << transformed.reducerShares() << "\n";
   std::cout << "\nphase breakdown (transform+gzipish): "
             << transformed.simulated.toString() << "\n";
   std::cout << "phase breakdown (plain):              " << plain.simulated.toString() << "\n";

@@ -35,6 +35,9 @@ int main() {
   std::cout << "\npaper: intermediate -60.7% (55.5 -> 21.8 GB); runtime -28.5% (183 -> 131 min)\n";
   std::cout << "key splits at reducers (overlap): "
             << aggregated.counters.get(hadoop::counter::kKeySplitsOverlap) << "\n";
+  std::cout << "reducer shares of shuffled bytes (simple):    " << plain.reducerShares()
+            << "\nreducer shares of shuffled bytes (aggregate): " << aggregated.reducerShares()
+            << "\n";
   std::cout << "\nphase breakdown (aggregate): " << aggregated.simulated.toString() << "\n";
   std::cout << "phase breakdown (plain):     " << plain.simulated.toString() << "\n";
   return 0;

@@ -46,6 +46,20 @@ struct RunOutcome {
   cluster::SimOutcome simulated;
   double min_total_s = 0;
   double max_total_s = 0;
+  std::vector<u64> reducer_bytes;  // shuffled bytes per reducer
+
+  /// "20.0/20.0/20.0/20.0/20.0 %": each reducer's share of shuffled bytes.
+  std::string reducerShares() const {
+    u64 total = 0;
+    for (const u64 b : reducer_bytes) total += b;
+    const double scale = 100.0 / static_cast<double>(std::max<u64>(total, 1));
+    std::string out;
+    for (const u64 b : reducer_bytes) {
+      if (!out.empty()) out += "/";
+      out += fixed(static_cast<double>(b) * scale, 1);
+    }
+    return out + " %";
+  }
 
   /// "13.3 min (12.1-15.0)": median projected runtime and its range.
   std::string runtime() const {
@@ -75,6 +89,7 @@ inline RunOutcome runConfiguration(const grid::Variable& input, bool aggregate,
     const auto result = hadoop::runJob(job.job, job.map_tasks, job.reduce);
     run.counters = result.counters;
     run.materialized = result.counters.get(hadoop::counter::kMapOutputMaterializedBytes);
+    for (const auto& task : result.reduce_tasks) run.reducer_bytes.push_back(task.shuffled_bytes);
     run.simulated = cluster::EventSimulator(spec).run(
         cluster::simJobFromResult(result, spec, paperScale()));
     check(run.materialized == runs.front().materialized,

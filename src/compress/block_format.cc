@@ -43,7 +43,7 @@ BlockCompressedWriter::Sealed BlockCompressedWriter::compressBlock(Bytes raw) co
   s.rawLen = raw.size();
   s.crc = crc32(raw);
   obs::ScopedSpan span("block_compress", "codec");
-  const u64 start = steadyNowUs();
+  const u64 start = threadCpuNowUs();
   if (codec_ != nullptr) {
     s.compressed = codec_->compress(raw);
     // The raw block's storage goes back to the shared pool for the next
@@ -54,7 +54,7 @@ BlockCompressedWriter::Sealed BlockCompressedWriter::compressBlock(Bytes raw) co
     // Sealed is consumed (close() or the destructor releases it).
     s.compressed = std::move(raw);
   }
-  cpuUs_.fetch_add(steadyNowUs() - start, std::memory_order_relaxed);
+  cpuUs_.fetch_add(threadCpuNowUs() - start, std::memory_order_relaxed);
   span.arg("raw_bytes", s.rawLen);
   span.arg("compressed_bytes", s.compressed.size());
   return s;
@@ -215,7 +215,7 @@ Bytes BlockCompressedReader::decodeFrame(const Frame& frame) const {
     payload = mutated;
   }
   Bytes raw;
-  const u64 start = steadyNowUs();
+  const u64 start = threadCpuNowUs();
   if (codec_ != nullptr) {
     try {
       raw = codec_->decompress(payload);
@@ -229,7 +229,7 @@ Bytes BlockCompressedReader::decodeFrame(const Frame& frame) const {
   } else {
     raw.assign(payload.begin(), payload.end());
   }
-  cpuUs_.fetch_add(steadyNowUs() - start, std::memory_order_relaxed);
+  cpuUs_.fetch_add(threadCpuNowUs() - start, std::memory_order_relaxed);
   if (raw.size() != frame.rawLen) frameError(frame.index, frame.offset, "raw length mismatch");
   if (crc32(raw) != frame.crc) frameError(frame.index, frame.offset, "crc mismatch");
   return raw;

@@ -520,14 +520,17 @@ MapTaskExecution executeMapTask(const JobConfig& config, const Codec* codec,
       MapTaskExecution exec;
       Counters& taskCounters = exec.counters;
       MapOutputBuffer buffer(config, codec, taskCounters, codecPool);
-      const u64 taskStart = steadyNowUs();
+      const u64 taskStart = threadCpuNowUs();
       const EmitFn emit = [&](Bytes key, Bytes value) {
         auto routed =
             config.router(KeyValue{std::move(key), std::move(value)}, config.num_reducers);
         for (auto& [partition, kv] : routed) buffer.collect(partition, std::move(kv));
       };
       task.run(emit);
-      taskCounters.add(counter::kMapCpuUs, steadyNowUs() - taskStart);
+      // A spill inside task.run is counted by SORT_CPU_US and
+      // CODEC_COMPRESS_CPU_US, not here.
+      taskCounters.add(counter::kMapCpuUs,
+                       threadCpuNowUs() - taskStart - buffer.midTaskSpillCpuUs());
       exec.output = buffer.finish();
       exec.stats.cpu_us = taskCounters.get(counter::kMapCpuUs) +
                           taskCounters.get(counter::kSortCpuUs) +
@@ -571,9 +574,9 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
         taskCounters.add(counter::kReduceOutputRecords, 1);
         exec.output.push_back(KeyValue{std::move(key), std::move(value)});
       };
-      const u64 taskStart = steadyNowUs();
+      const u64 taskStart = threadCpuNowUs();
       config.grouper->run(stream, reduce, emit, taskCounters);
-      taskCounters.add(counter::kReduceCpuUs, steadyNowUs() - taskStart);
+      taskCounters.add(counter::kReduceCpuUs, threadCpuNowUs() - taskStart);
       span.arg("output_records", taskCounters.get(counter::kReduceOutputRecords));
       exec.stats.cpu_us = taskCounters.get(counter::kReduceCpuUs) +
                           taskCounters.get(counter::kCodecDecompressCpuUs);

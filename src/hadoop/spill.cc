@@ -53,18 +53,22 @@ void MapOutputBuffer::collect(int partition, KeyValue kv) {
   counters_->add(counter::kMapOutputBytes, kv.key.size() + kv.value.size());
   bufferedBytes_.fetch_add(kv.key.size() + kv.value.size(), std::memory_order_relaxed);
   buffer_[static_cast<std::size_t>(partition)].push_back(std::move(kv));
-  if (bufferedBytes_.load(std::memory_order_relaxed) >= config_->spill_buffer_bytes) spill();
+  if (bufferedBytes_.load(std::memory_order_relaxed) >= config_->spill_buffer_bytes) {
+    const u64 start = threadCpuNowUs();
+    spill();
+    midTaskSpillCpuUs_ += threadCpuNowUs() - start;
+  }
 }
 
 std::vector<KeyValue> MapOutputBuffer::sortAndCombine(std::vector<KeyValue>&& records,
                                                       bool useCombiner) {
   obs::ScopedSpan span("sort", "spill");
   span.arg("records", records.size());
-  const u64 sortStart = steadyNowUs();
+  const u64 sortStart = threadCpuNowUs();
   std::stable_sort(records.begin(), records.end(), [&](const KeyValue& a, const KeyValue& b) {
     return config_->key_less(a.key, b.key);
   });
-  counters_->add(counter::kSortCpuUs, steadyNowUs() - sortStart);
+  counters_->add(counter::kSortCpuUs, threadCpuNowUs() - sortStart);
   if (!useCombiner || !config_->combiner) return std::move(records);
 
   std::vector<KeyValue> combined;

@@ -38,6 +38,9 @@ class MapOutputBuffer {
   /// Flushes remaining records and merges spills into final segments.
   MapOutput finish();
 
+  /// This thread's CPU time in spills that collect() triggered (not finish()).
+  u64 midTaskSpillCpuUs() const { return midTaskSpillCpuUs_; }
+
  private:
   struct Spill {
     std::vector<Bytes> segments;                     // per partition, IFile bytes...
@@ -63,6 +66,7 @@ class MapOutputBuffer {
   // thread while collect()/spill() update it on the task thread.
   std::atomic<std::size_t> bufferedBytes_{0};
   std::vector<Spill> spills_;
+  u64 midTaskSpillCpuUs_ = 0;
   // Declared last: unregisters first on destruction, so the sampler can
   // never read bufferedBytes_ after (or while) the buffer is torn down.
   obs::GaugeRegistration bufferedGauge_;

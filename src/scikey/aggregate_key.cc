@@ -1,5 +1,7 @@
 #include "scikey/aggregate_key.h"
 
+#include <algorithm>
+
 #include "hadoop/counters.h"
 #include "scikey/simple_key.h"
 
@@ -68,39 +70,94 @@ std::pair<hadoop::KeyValue, hadoop::KeyValue> splitAggregateRecord(const Aggrega
   return {std::move(left), std::move(right)};
 }
 
-int rangePartition(sfc::CurveIndex index, sfc::CurveIndex indexCount, int numPartitions) {
-  check(index < indexCount, "index outside space");
-  return static_cast<int>((index * static_cast<sfc::CurveIndex>(numPartitions)) / indexCount);
+PartitionTable PartitionTable::ofCells(std::vector<sfc::CurveIndex> cells,
+                                       sfc::CurveIndex indexCount, int numPartitions) {
+  check(numPartitions >= 1, "need at least one partition");
+  const u64 n = static_cast<u64>(numPartitions);
+  const u64 total = cells.size();
+  std::vector<sfc::CurveIndex> starts;
+  starts.reserve(n - 1);
+  // Successive selections: after each nth_element, every later rank lies in
+  // the suffix past the one just placed.
+  auto from = cells.begin();
+  for (u64 k = 1; k < n; ++k) {
+    const u64 rank = (total * k + n - 1) / n;
+    if (rank >= total) {
+      starts.push_back(indexCount);
+      continue;
+    }
+    const auto at = cells.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(from, at, cells.end());
+    starts.push_back(*at);
+    from = at;
+  }
+  return PartitionTable(std::move(starts), indexCount);
 }
 
-hadoop::RouteFn aggregateRangeRouter(sfc::CurveIndex indexCount, std::size_t valueSize,
+PartitionTable PartitionTable::ofDomain(const CurveSpace& space, int numPartitions) {
+  std::vector<sfc::CurveIndex> cells;
+  cells.reserve(static_cast<std::size_t>(space.domain().volume()));
+  space.domain().forEachCell([&](const grid::Coord& c) { cells.push_back(space.encode(c)); });
+  return ofCells(std::move(cells), space.indexCount(), numPartitions);
+}
+
+PartitionTable::PartitionTable(std::vector<sfc::CurveIndex> starts, sfc::CurveIndex indexCount)
+    : starts_(std::move(starts)), indexCount_(indexCount) {
+  check(std::is_sorted(starts_.begin(), starts_.end()), "partition starts must not decrease");
+  check(starts_.empty() || starts_.back() <= indexCount_, "partition start outside space");
+}
+
+sfc::CurveIndex PartitionTable::start(int k) const {
+  check(k >= 0 && k <= numPartitions(), "partition out of range");
+  if (k == 0) return 0;
+  return k == numPartitions() ? indexCount_ : starts_[static_cast<std::size_t>(k - 1)];
+}
+
+int PartitionTable::partitionOf(sfc::CurveIndex index) const {
+  check(index < indexCount_, "index outside space");
+  return static_cast<int>(std::upper_bound(starts_.begin(), starts_.end(), index) -
+                          starts_.begin());
+}
+
+hadoop::RouteFn aggregateRangeRouter(PartitionTable table, std::size_t valueSize,
                                      hadoop::Counters* counters) {
-  return [indexCount, valueSize, counters](hadoop::KeyValue&& record, int numPartitions) {
+  return [table = std::move(table), valueSize, counters](hadoop::KeyValue&& record,
+                                                         int numPartitions) {
+    check(numPartitions == table.numPartitions(), "router built for another reducer count");
     std::vector<std::pair<int, hadoop::KeyValue>> out;
     AggregateKey key = deserializeAggregateKey(record.key);
+    check(key.end() <= table.indexCount(), "index outside space");
     Bytes blob = std::move(record.value);
 
     // Peel partition-sized prefixes off the front until the key no longer
     // straddles a boundary.
     for (;;) {
-      const int firstPart = rangePartition(key.start, indexCount, numPartitions);
-      const int lastPart = rangePartition(key.end() - 1, indexCount, numPartitions);
-      if (firstPart == lastPart) {
-        out.emplace_back(firstPart,
-                         hadoop::KeyValue{serializeAggregateKey(key), std::move(blob)});
+      const int part = table.partitionOf(key.start);
+      const sfc::CurveIndex boundary = table.start(part + 1);  // > key.start
+      if (key.end() <= boundary) {
+        out.emplace_back(part, hadoop::KeyValue{serializeAggregateKey(key), std::move(blob)});
         break;
       }
-      // First index belonging to partition firstPart+1 (ceil division).
-      const sfc::CurveIndex boundary =
-          (indexCount * static_cast<sfc::CurveIndex>(firstPart + 1) +
-           static_cast<sfc::CurveIndex>(numPartitions) - 1) /
-          static_cast<sfc::CurveIndex>(numPartitions);
       auto [left, right] = splitAggregateRecord(key, blob, boundary, valueSize);
       if (counters != nullptr) counters->add(hadoop::counter::kKeySplitsRouting, 1);
-      out.emplace_back(firstPart, std::move(left));
+      out.emplace_back(part, std::move(left));
       key = deserializeAggregateKey(right.key);
       blob = std::move(right.value);
     }
+    return out;
+  };
+}
+
+hadoop::RouteFn simpleKeyRangeRouter(std::shared_ptr<const CurveSpace> space,
+                                     PartitionTable table) {
+  return [space = std::move(space), table = std::move(table)](hadoop::KeyValue&& record,
+                                                              int numPartitions) {
+    check(numPartitions == table.numPartitions(), "router built for another reducer count");
+    const SimpleKey key =
+        deserializeSimpleKey(record.key, VariableTag::kIndex, space->domain().rank());
+    const int p = table.partitionOf(space->encode(key.coords));
+    std::vector<std::pair<int, hadoop::KeyValue>> out;
+    out.emplace_back(p, std::move(record));
     return out;
   };
 }

@@ -9,9 +9,11 @@
 //   [4B var][16B start index][8B count]
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "hadoop/types.h"
+#include "scikey/curve_space.h"
 #include "sfc/curve.h"
 
 namespace scishuffle::scikey {
@@ -39,15 +41,48 @@ std::pair<hadoop::KeyValue, hadoop::KeyValue> splitAggregateRecord(const Aggrega
                                                                    sfc::CurveIndex at,
                                                                    std::size_t valueSize);
 
-/// Router for aggregate-key jobs: partitions the curve index space
-/// [0, indexCount) into numPartitions contiguous chunks and splits any
-/// aggregate record straddling a chunk boundary (§IV-B case 1). Increments
-/// KEY_SPLITS_ROUTING on the supplied counters for every cut.
-hadoop::RouteFn aggregateRangeRouter(sfc::CurveIndex indexCount, std::size_t valueSize,
+/// The range partition of a job's curve index space [0, indexCount) into
+/// contiguous chunks, one per reducer. Split points are equal-count
+/// quantiles of the cells that exist: with `idx` the sorted curve indices of
+/// the N domain cells, partition k (1 <= k < n) starts at idx[ceil(N*k/n)],
+/// or at indexCount when that rank is >= N (an empty partition). A domain
+/// that fills its lattice gets the uniform split ceil(indexCount*k/n).
+class PartitionTable {
+ public:
+  /// Equal-count split of `cells` (curve indices of every cell, any order).
+  static PartitionTable ofCells(std::vector<sfc::CurveIndex> cells, sfc::CurveIndex indexCount,
+                                int numPartitions);
+  /// ofCells over every cell of the space's domain.
+  static PartitionTable ofDomain(const CurveSpace& space, int numPartitions);
+
+  /// Explicit starts of partitions 1..n-1: non-decreasing, each <= indexCount.
+  /// Equal starts leave the partitions between them empty.
+  PartitionTable(std::vector<sfc::CurveIndex> starts, sfc::CurveIndex indexCount);
+
+  int numPartitions() const { return static_cast<int>(starts_.size()) + 1; }
+  sfc::CurveIndex indexCount() const { return indexCount_; }
+
+  /// First index of partition k: 0 for k = 0, indexCount for k = numPartitions.
+  sfc::CurveIndex start(int k) const;
+
+  /// The partition whose range holds `index` (< indexCount).
+  int partitionOf(sfc::CurveIndex index) const;
+
+ private:
+  std::vector<sfc::CurveIndex> starts_;
+  sfc::CurveIndex indexCount_;
+};
+
+/// Router for aggregate-key jobs: routes by the table and splits any
+/// aggregate record straddling a partition boundary (§IV-B case 1).
+/// Increments KEY_SPLITS_ROUTING on the supplied counters for every cut.
+hadoop::RouteFn aggregateRangeRouter(PartitionTable table, std::size_t valueSize,
                                      hadoop::Counters* counters);
 
-/// Range partition of a single index (used by the simple-key comparison jobs
-/// so both configurations route cells identically).
-int rangePartition(sfc::CurveIndex index, sfc::CurveIndex indexCount, int numPartitions);
+/// Router for simple-key jobs over `space`: routes each cell by its curve
+/// index through the same table, so both key configurations land a cell on
+/// the same reducer (apples-to-apples shuffle).
+hadoop::RouteFn simpleKeyRangeRouter(std::shared_ptr<const CurveSpace> space,
+                                     PartitionTable table);
 
 }  // namespace scishuffle::scikey

@@ -58,8 +58,6 @@ PreparedJob buildSimpleSlidingJob(const grid::Variable& input, const SlidingQuer
   prepared.routing_counters = std::make_shared<hadoop::Counters>();
   prepared.space = std::make_shared<CurveSpace>(config.curve,
                                                 outputDomainOf(input, config.window_radius));
-  const auto space = prepared.space;
-  const int rank = input.shape().rank();
 
   for (const grid::Box& split :
        planInputSplits(inputDomainOf(input), config.num_mappers, config.split_strategy)) {
@@ -74,15 +72,8 @@ PreparedJob buildSimpleSlidingJob(const grid::Variable& input, const SlidingQuer
     }});
   }
 
-  // Route each simple key by its cell's curve index so data lands on the same
-  // reducers as the aggregate configuration (apples-to-apples shuffle).
-  base.router = [space, rank](hadoop::KeyValue&& record, int numPartitions) {
-    const SimpleKey key = deserializeSimpleKey(record.key, VariableTag::kIndex, rank);
-    const int p = rangePartition(space->encode(key.coords), space->indexCount(), numPartitions);
-    std::vector<std::pair<int, hadoop::KeyValue>> out;
-    out.emplace_back(p, std::move(record));
-    return out;
-  };
+  base.router = simpleKeyRangeRouter(
+      prepared.space, PartitionTable::ofDomain(*prepared.space, base.num_reducers));
 
   const CellOp op = config.op;
   prepared.reduce = [op](const Bytes& key, std::vector<Bytes>& values,
@@ -129,7 +120,8 @@ PreparedJob buildAggregateSlidingJob(const grid::Variable& input,
         }});
   }
 
-  base.router = aggregateRangeRouter(space->indexCount(), kValueSize, routingCounters.get());
+  base.router = aggregateRangeRouter(PartitionTable::ofDomain(*space, base.num_reducers),
+                                     kValueSize, routingCounters.get());
   base.grouper = std::make_shared<AggregateGrouper>(kValueSize, config.reaggregate_output);
   prepared.reduce = cellwiseAggregateReduce(kValueSize, kValueSize, cellFnFor(config.op));
   if (config.use_combiner) {
@@ -195,7 +187,8 @@ PreparedJob buildAggregateMultiVariableSlidingJob(const grid::Dataset& dataset,
     }
   }
 
-  base.router = aggregateRangeRouter(space->indexCount(), kValueSize, routingCounters.get());
+  base.router = aggregateRangeRouter(PartitionTable::ofDomain(*space, base.num_reducers),
+                                     kValueSize, routingCounters.get());
   base.grouper = std::make_shared<AggregateGrouper>(kValueSize, config.reaggregate_output);
   prepared.reduce = cellwiseAggregateReduce(kValueSize, kValueSize, cellFnFor(config.op));
   prepared.job = std::move(base);

@@ -50,19 +50,16 @@ class SegmentStore {
   std::map<u32, std::vector<Bytes>> store_ GUARDED_BY(mu_);
 };
 
-/// Crash dummy: die exactly like SIGKILL would — no unwinding, no goodbye on
-/// the control plane, segments lost with the process. With a crash token, only
-/// the worker that claims it dies; the others return and carry on.
-void crashUnlessClaimed(const WorkerOptions& options) {
-  if (!options.crash_token.empty()) {
-    const int fd = ::open(options.crash_token.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0) return;  // another worker claimed it first
-    const std::string id = std::to_string(options.worker_id);
-    const bool written = ::write(fd, id.data(), id.size()) == static_cast<ssize_t>(id.size());
-    ::close(fd);
-    if (!written) return;
-  }
-  std::_Exit(137);
+/// Whether this worker takes a test-hook fault: always without a crash token;
+/// with one, only the worker that claims it (the others carry on).
+bool claimsFault(const WorkerOptions& options) {
+  if (options.crash_token.empty()) return true;
+  const int fd = ::open(options.crash_token.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+  if (fd < 0) return false;  // another worker claimed it first
+  const std::string id = std::to_string(options.worker_id);
+  const bool written = ::write(fd, id.data(), id.size()) == static_cast<ssize_t>(id.size());
+  ::close(fd);
+  return written;
 }
 
 /// Serves FetchRequest/FetchResponse exchanges on one reducer connection
@@ -239,10 +236,14 @@ int runWorkerMain(const WorkerOptions& options) {
       break;
     }
     const net::AssignMsg assign = net::AssignMsg::decode(frame);
-    if (options.exit_after_tasks >= 0 && completed == options.exit_after_tasks) {
-      crashUnlessClaimed(options);
+    if (options.exit_after_tasks >= 0 && completed == options.exit_after_tasks &&
+        claimsFault(options)) {
+      // Crash dummy: die exactly like SIGKILL would — no unwinding, no
+      // goodbye on the control plane, segments lost with the process.
+      std::_Exit(137);
     }
-    if (options.hang_after_tasks >= 0 && completed >= options.hang_after_tasks) {
+    if (options.hang_after_tasks >= 0 && completed == options.hang_after_tasks &&
+        claimsFault(options)) {
       // Stall dummy: stop heartbeating and responding but keep the process
       // and its sockets alive, so only the heartbeat timeout can catch it.
       hung.store(true, std::memory_order_relaxed);

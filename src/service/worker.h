@@ -40,10 +40,11 @@ struct WorkerOptions {
   /// Assign — a deterministic stand-in for SIGKILL mid-shuffle. A worker the
   /// scheduler gives no more than this many tasks never gets there. <0 = never.
   i64 exit_after_tasks = -1;
-  /// When set, exit_after_tasks fires only in the worker that first claims
-  /// this file (created exclusively, holding its worker id); a worker that
-  /// finds it taken carries on. Every worker given the same hook and token:
-  /// exactly one dies, the first to be handed its (n+1)-th task.
+  /// When set, exit_after_tasks and hang_after_tasks fire only in the worker
+  /// that first claims this file (created exclusively, holding its worker
+  /// id); a worker that finds it taken carries on. Every worker given the
+  /// same hook and token: exactly one fails, the first to be handed its
+  /// (n+1)-th task.
   std::filesystem::path crash_token;
   /// Test hook: after completing this many tasks, stop responding AND stop
   /// heartbeating (but stay alive) — exercises the heartbeat-timeout

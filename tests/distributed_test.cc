@@ -127,10 +127,13 @@ TEST(DistributedTest, WorkerKillMidShuffleRecovers) {
   const std::vector<std::string> args = {"8", "300"};
   const hadoop::JobResult serial = serialBaseline(args);
   service::DistributedConfig cfg = baseConfig(dir.path, 2);
-  // Worker 0 completes one task, then dies SIGKILL-style (_Exit, no goodbye)
-  // on its next assignment — mid-shuffle, because the fetch pump is already
-  // pulling its first task's segments while later maps run.
-  cfg.extra_worker_args = {{"--exit-after-tasks", "1"}};
+  // One worker completes one task, then dies SIGKILL-style (_Exit, no
+  // goodbye) on its next assignment — mid-shuffle, because the fetch pump is
+  // already pulling its first task's segments while later maps run. The hook
+  // goes to both workers behind one crash token, so exactly one dies: a
+  // single pre-chosen victim might get fewer than two of the 8 tasks.
+  const fs::path token = dir.path / "crash-token";
+  cfg.extra_worker_args.assign(2, {"--exit-after-tasks", "1", "--crash-token", token.string()});
   cfg.metrics_path = dir.path / "coord-metrics.jsonl";
   cfg.sample_interval_ms = 5;
   cfg.worker_metrics_dir = dir.path / "workers";
@@ -155,7 +158,10 @@ TEST(DistributedTest, WorkerKillMidShuffleRecovers) {
   EXPECT_NE(metrics.find("worker.lost"), std::string::npos);
   EXPECT_NE(metrics.find("dist.task_reexec"), std::string::npos);
   // The surviving worker streamed its own per-process metrics artifact.
-  EXPECT_TRUE(fs::exists(cfg.worker_metrics_dir / "worker-1.jsonl"));
+  const std::string victim = slurp(token);
+  ASSERT_TRUE(victim == "0" || victim == "1") << "victim: " << victim;
+  const std::string survivor = victim == "0" ? "1" : "0";
+  EXPECT_TRUE(fs::exists(cfg.worker_metrics_dir / ("worker-" + survivor + ".jsonl")));
 }
 
 TEST(DistributedTest, TransportFaultsHealedByReconnect) {
@@ -203,10 +209,13 @@ TEST(DistributedTest, HungWorkerCaughtByHeartbeatTimeout) {
   const std::vector<std::string> args = {"6", "200"};
   const hadoop::JobResult serial = serialBaseline(args);
   service::DistributedConfig cfg = baseConfig(dir.path, 2);
-  // Worker 0 goes silent on its first assignment: no heartbeat, no TaskDone,
-  // no EOF (the process stays alive). Only the heartbeat timeout can catch
-  // this one.
-  cfg.extra_worker_args = {{"--hang-after-tasks", "0"}};
+  // The first worker to be handed a task goes silent: no heartbeat, no
+  // TaskDone, no EOF (the process stays alive). Only the heartbeat timeout
+  // can catch this one. The hook goes to both workers behind one crash
+  // token: a single pre-chosen worker might register after the other has
+  // run every task.
+  const fs::path token = dir.path / "hang-token";
+  cfg.extra_worker_args.assign(2, {"--hang-after-tasks", "0", "--crash-token", token.string()});
   cfg.heartbeat_interval_ms = 10;
   cfg.heartbeat_timeout_ms = 250;
   cfg.fetch_recv_timeout_ms = 500;

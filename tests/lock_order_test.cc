@@ -116,16 +116,21 @@ TEST_F(LockOrderTest, ViolationReportsObservedCycleChain) {
 
 TEST_F(LockOrderTest, UnrankedMutexIsExemptFromValidation) {
   // Test-local mutexes default to unranked: tracked in reports, never
-  // order-checked in either direction.
+  // order-checked in either direction. The checker works by rank, so each
+  // order gets its own pair: one pair taken both ways would be a real
+  // lock-order cycle, which TSan's deadlock detector rightly reports. All
+  // four stay alive, so no address is reused between the two orders.
   Mutex ranked{kMid};
   Mutex unranked;
+  Mutex rankedToo{kMid};
+  Mutex unrankedToo;
   {
     MutexLock a(ranked);
     MutexLock b(unranked);
   }
   {
-    MutexLock a(unranked);
-    MutexLock b(ranked);
+    MutexLock a(unrankedToo);
+    MutexLock b(rankedToo);
   }
   EXPECT_EQ(lockorder::violationCount(), 0u);
 }

@@ -9,7 +9,9 @@
 #include <string>
 #include <tuple>
 
+#include "compress/codec.h"
 #include "hadoop/runtime.h"
+#include "io/clock.h"
 #include "io/primitives.h"
 #include "io/streams.h"
 #include "testing_support.h"
@@ -308,6 +310,40 @@ TEST(EngineTest, DiskBackedSpillsProduceIdenticalResults) {
             mem.counters.get(counter::kMapOutputMaterializedBytes));
   // Transient spill files are cleaned up after the merge.
   EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+}
+
+TEST(EngineTest, TaskCpuCountsEachSpillOnce) {
+  // Without a codec pool every spill's sort and compression runs on this
+  // thread, inside task.run. The task's cpu_us sums the map, sort and codec
+  // windows, so a spill counted both in the map window and in its own
+  // windows would exceed the CPU time the thread actually used. The combiner
+  // keeps the final spill merge small, so that excess is not hidden by the
+  // merge's uncounted decode work.
+  registerBuiltinCodecs();
+  const auto codec = CodecRegistry::instance().create("gzipish");
+  JobConfig config;
+  config.num_reducers = 3;
+  config.spill_buffer_bytes = 4096;
+  config.combiner = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+    i64 sum = 0;
+    for (const auto& v : values) sum += decodeI64(v);
+    emit(key, encodeI64(sum));
+  };
+  const auto docs = corpus(1, 40000, 99);
+  const MapTask task{[&docs](const EmitFn& emit) {
+    for (const auto& w : docs[0]) emit(toBytes(w), encodeI64(1));
+  }};
+
+  const u64 threadStart = threadCpuNowUs();
+  const MapTaskExecution exec = executeMapTask(config, codec.get(), nullptr, task, 0);
+  const u64 threadCpu = threadCpuNowUs() - threadStart;
+
+  // At least two buffers' worth of output: two or more spills mid-task.
+  EXPECT_GE(exec.counters.get(counter::kMapOutputBytes), 2 * config.spill_buffer_bytes);
+  EXPECT_GT(exec.counters.get(counter::kSortCpuUs) +
+                exec.counters.get(counter::kCodecCompressCpuUs),
+            0u);
+  EXPECT_LE(exec.stats.cpu_us, threadCpu);
 }
 
 TEST(EngineTest, EmptyJobProducesEmptyOutputs) {

@@ -4,7 +4,9 @@
 // identity for aggregate keys over random Z-order range sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -167,50 +169,90 @@ TEST(KeySplitPropertyTest, SplitThenConcatenateIsIdentity) {
   }
 }
 
+/// The table over every index of [0, indexCount): the uniform lattice split.
+scikey::PartitionTable fullLatticeTable(sfc::CurveIndex indexCount, int numPartitions) {
+  std::vector<sfc::CurveIndex> cells(static_cast<std::size_t>(indexCount));
+  std::iota(cells.begin(), cells.end(), sfc::CurveIndex{0});
+  return scikey::PartitionTable::ofCells(std::move(cells), indexCount, numPartitions);
+}
+
+/// A random non-uniform table. About half its starts repeat the previous
+/// one, so it has empty partitions.
+scikey::PartitionTable randomTable(std::mt19937_64& rng, sfc::CurveIndex indexCount,
+                                   int numPartitions) {
+  std::vector<sfc::CurveIndex> starts;
+  for (int k = 1; k < numPartitions; ++k) {
+    starts.push_back(!starts.empty() && rng() % 2 == 0
+                         ? starts.back()
+                         : sfc::CurveIndex{rng() % (static_cast<u64>(indexCount) + 1)});
+  }
+  std::sort(starts.begin(), starts.end());
+  return scikey::PartitionTable(std::move(starts), indexCount);
+}
+
+/// Routes every record of the set through the table's router and checks the
+/// pieces: curve order, tiling [start, end) with no gap, overlap or
+/// partition straddle, and concatenation restoring the record.
+void expectRoutingTilesEveryRecord(const RangeSet& set, const scikey::PartitionTable& table) {
+  const int numPartitions = table.numPartitions();
+  const auto router = scikey::aggregateRangeRouter(table, set.value_size, nullptr);
+  for (const auto& [key, blob] : set.records) {
+    auto routed = router(hadoop::KeyValue{scikey::serializeAggregateKey(key), blob},
+                         numPartitions);
+    ASSERT_FALSE(routed.empty());
+
+    sfc::CurveIndex cursor = key.start;
+    Bytes merged;
+    int prevPartition = -1;
+    for (const auto& [partition, kv] : routed) {
+      const auto piece = scikey::deserializeAggregateKey(kv.key);
+      EXPECT_EQ(piece.var, key.var);
+      EXPECT_TRUE(piece.start == cursor) << "gap or overlap at piece boundary";
+      EXPECT_GE(piece.count, 1u);
+      EXPECT_GT(partition, prevPartition - 1);  // non-decreasing partitions
+      prevPartition = partition;
+      EXPECT_EQ(table.partitionOf(piece.start), partition);
+      EXPECT_EQ(table.partitionOf(piece.end() - 1), partition)
+          << "piece straddles a partition boundary";
+      EXPECT_EQ(kv.value.size(), static_cast<std::size_t>(piece.count) * set.value_size);
+      merged.insert(merged.end(), kv.value.begin(), kv.value.end());
+      cursor = piece.end();
+    }
+    EXPECT_TRUE(cursor == key.end()) << "pieces do not cover the range";
+    EXPECT_EQ(merged, blob);
+  }
+}
+
 TEST(KeySplitPropertyTest, RouterSplitThenMergeIsIdentity) {
   std::mt19937_64 rng(propertySeed() ^ 0x2077);
   for (int iter = 0; iter < 150; ++iter) {
     const RangeSet set = randomZOrderRanges(rng);
     std::uniform_int_distribution<int> parts(1, 7);
-    const int numPartitions = parts(rng);
-    const auto router = scikey::aggregateRangeRouter(set.index_count, set.value_size, nullptr);
-
-    for (const auto& [key, blob] : set.records) {
-      auto routed = router(hadoop::KeyValue{scikey::serializeAggregateKey(key), blob},
-                           numPartitions);
-      ASSERT_FALSE(routed.empty());
-
-      // Pieces arrive in curve order and tile [start, end) with no gap,
-      // overlap, or partition straddle; concatenation restores the record.
-      sfc::CurveIndex cursor = key.start;
-      Bytes merged;
-      int prevPartition = -1;
-      for (const auto& [partition, kv] : routed) {
-        const auto piece = scikey::deserializeAggregateKey(kv.key);
-        EXPECT_EQ(piece.var, key.var);
-        EXPECT_TRUE(piece.start == cursor) << "gap or overlap at piece boundary";
-        EXPECT_GE(piece.count, 1u);
-        EXPECT_GT(partition, prevPartition - 1);  // non-decreasing partitions
-        prevPartition = partition;
-        EXPECT_EQ(scikey::rangePartition(piece.start, set.index_count, numPartitions), partition);
-        EXPECT_EQ(scikey::rangePartition(piece.end() - 1, set.index_count, numPartitions),
-                  partition)
-            << "piece straddles a partition boundary";
-        EXPECT_EQ(kv.value.size(), static_cast<std::size_t>(piece.count) * set.value_size);
-        merged.insert(merged.end(), kv.value.begin(), kv.value.end());
-        cursor = piece.end();
-      }
-      EXPECT_TRUE(cursor == key.end()) << "pieces do not cover the range";
-      EXPECT_EQ(merged, blob);
-    }
+    expectRoutingTilesEveryRecord(set, fullLatticeTable(set.index_count, parts(rng)));
   }
+}
+
+TEST(KeySplitPropertyTest, RouterSplitThenMergeIsIdentityOnNonUniformTables) {
+  std::mt19937_64 rng(propertySeed() ^ 0x7ab1e);
+  int emptyPartitions = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const RangeSet set = randomZOrderRanges(rng);
+    std::uniform_int_distribution<int> parts(1, 9);
+    const scikey::PartitionTable table = randomTable(rng, set.index_count, parts(rng));
+    for (int k = 0; k < table.numPartitions(); ++k) {
+      if (table.start(k) == table.start(k + 1)) ++emptyPartitions;
+    }
+    expectRoutingTilesEveryRecord(set, table);
+  }
+  EXPECT_GT(emptyPartitions, 0) << "the sweep never built an empty partition";
 }
 
 TEST(KeySplitPropertyTest, RouterIsANoOpForSinglePartition) {
   std::mt19937_64 rng(propertySeed() ^ 0x1);
   for (int iter = 0; iter < 50; ++iter) {
     const RangeSet set = randomZOrderRanges(rng);
-    const auto router = scikey::aggregateRangeRouter(set.index_count, set.value_size, nullptr);
+    const auto router =
+        scikey::aggregateRangeRouter(fullLatticeTable(set.index_count, 1), set.value_size, nullptr);
     for (const auto& [key, blob] : set.records) {
       auto routed = router(hadoop::KeyValue{scikey::serializeAggregateKey(key), blob}, 1);
       ASSERT_EQ(routed.size(), 1u);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <random>
 #include <set>
 #include <tuple>
@@ -108,10 +109,123 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
+/// The table over every index of [0, indexCount): the uniform lattice split.
+PartitionTable fullLatticeTable(u64 indexCount, int numPartitions) {
+  std::vector<sfc::CurveIndex> cells(indexCount);
+  std::iota(cells.begin(), cells.end(), sfc::CurveIndex{0});
+  return PartitionTable::ofCells(std::move(cells), indexCount, numPartitions);
+}
+
+/// Cells of the space's domain per partition of the table.
+std::vector<u64> cellsPerPartition(const CurveSpace& space, const PartitionTable& table) {
+  std::vector<u64> counts(static_cast<std::size_t>(table.numPartitions()), 0);
+  space.domain().forEachCell([&](const grid::Coord& c) {
+    ++counts[static_cast<std::size_t>(table.partitionOf(space.encode(c)))];
+  });
+  return counts;
+}
+
+class PartitionTableBalance
+    : public ::testing::TestWithParam<std::tuple<sfc::CurveKind, i64, int>> {};
+
+TEST_P(PartitionTableBalance, EveryPartitionHoldsAnEqualShareOfTheDomain) {
+  const auto [kind, side, parts] = GetParam();
+  // The sliding-window output domain: the grid plus a one-cell border, so
+  // the curve's power-of-two lattice is mostly empty.
+  const CurveSpace space(kind, grid::Box({-1, -1}, {side, side}));
+  ASSERT_EQ(space.indexCount(), sfc::CurveIndex{512 * 512});
+  const u64 cells = static_cast<u64>(side * side);
+  const auto counts = cellsPerPartition(space, PartitionTable::ofDomain(space, parts));
+  ASSERT_EQ(counts.size(), static_cast<std::size_t>(parts));
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    EXPECT_GE(counts[k], cells / static_cast<u64>(parts)) << "partition " << k;
+    EXPECT_LE(counts[k], (cells + static_cast<u64>(parts) - 1) / static_cast<u64>(parts))
+        << "partition " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaddedDomains, PartitionTableBalance,
+    ::testing::Combine(::testing::Values(sfc::CurveKind::kZOrder, sfc::CurveKind::kHilbert),
+                       ::testing::Values<i64>(258, 362), ::testing::Values(4, 5)),
+    [](const auto& info) {
+      return sfc::curveKindName(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             std::to_string(std::get<2>(info.param)) + "parts";
+    });
+
+TEST(PartitionTableTest, FullLatticeGivesTheUniformCeilSplit) {
+  for (const u64 indexCount : {1u, 3u, 100u, 128u, 1000u}) {
+    for (int parts = 1; parts <= 7; ++parts) {
+      const PartitionTable table = fullLatticeTable(indexCount, parts);
+      ASSERT_EQ(table.numPartitions(), parts);
+      const u64 n = static_cast<u64>(parts);
+      for (int k = 1; k < parts; ++k) {
+        const u64 ceilSplit = (indexCount * static_cast<u64>(k) + n - 1) / n;
+        EXPECT_TRUE(table.start(k) == std::min<u64>(ceilSplit, indexCount))
+            << indexCount << " cells, " << parts << " parts, k=" << k;
+      }
+      for (u64 i = 0; i < indexCount; ++i) {
+        EXPECT_EQ(table.partitionOf(i), static_cast<int>(i * n / indexCount)) << i;
+      }
+    }
+  }
+}
+
+TEST(PartitionTableTest, SlabDomainFillingItsLatticeKeepsTheUniformSplit) {
+  // The slab benchmark's projected 128 x 128 domain fills its lattice, so
+  // its cells route exactly as under the uniform lattice split.
+  for (const auto kind : {sfc::CurveKind::kZOrder, sfc::CurveKind::kHilbert}) {
+    const CurveSpace space(kind, grid::Box({0, 0}, {128, 128}));
+    const PartitionTable table = PartitionTable::ofDomain(space, 4);
+    for (int k = 0; k <= 4; ++k) {
+      EXPECT_TRUE(table.start(k) == sfc::CurveIndex{4096u * static_cast<u64>(k)}) << k;
+    }
+    EXPECT_EQ(cellsPerPartition(space, table), (std::vector<u64>{4096, 4096, 4096, 4096}));
+  }
+}
+
+TEST(PartitionTableTest, FewerCellsThanPartitionsLeavesEmptyPartitions) {
+  // Two cells over five partitions: ranks ceil(2k/5) = 1, 1, 2, 2, so the
+  // second cell opens partition 1 and partitions 3 and 4 start at the end.
+  const PartitionTable table = PartitionTable::ofCells({40, 7}, 64, 5);
+  ASSERT_EQ(table.numPartitions(), 5);
+  EXPECT_TRUE(table.start(1) == 40);
+  EXPECT_TRUE(table.start(2) == 40);
+  EXPECT_TRUE(table.start(3) == 64);
+  EXPECT_TRUE(table.start(4) == 64);
+  EXPECT_TRUE(table.start(5) == 64);
+  EXPECT_EQ(table.partitionOf(7), 0);
+  EXPECT_EQ(table.partitionOf(40), 2);
+  EXPECT_EQ(table.partitionOf(63), 2);
+  EXPECT_THROW(table.partitionOf(64), std::logic_error);
+
+  // No cells at all: every partition but the first is empty.
+  const PartitionTable none = PartitionTable::ofCells({}, 8, 3);
+  EXPECT_TRUE(none.start(1) == 8);
+  EXPECT_EQ(none.partitionOf(0), 0);
+  EXPECT_EQ(none.partitionOf(7), 0);
+
+  // The router never addresses an empty partition.
+  const auto router = aggregateRangeRouter(table, 1, nullptr);
+  const auto routed = router(hadoop::KeyValue{serializeAggregateKey({0, 0, 64}), Bytes(64, 5)}, 5);
+  ASSERT_EQ(routed.size(), 2u);
+  EXPECT_EQ(routed[0].first, 0);
+  EXPECT_EQ(deserializeAggregateKey(routed[0].second.key), (AggregateKey{0, 0, 40}));
+  EXPECT_EQ(routed[1].first, 2);
+  EXPECT_EQ(deserializeAggregateKey(routed[1].second.key), (AggregateKey{0, 40, 24}));
+}
+
+TEST(PartitionTableTest, RejectsDecreasingOrOutOfSpaceStarts) {
+  EXPECT_THROW(PartitionTable({5, 3}, 10), std::logic_error);
+  EXPECT_THROW(PartitionTable({5, 11}, 10), std::logic_error);
+  EXPECT_NO_THROW(PartitionTable({5, 5, 10}, 10));
+}
+
 TEST(AggregateRouterTest, SplitsAtPartitionBoundaries) {
   hadoop::Counters counters;
   // Index space of 100, 4 partitions => boundaries at 25, 50, 75.
-  const auto router = aggregateRangeRouter(100, 4, &counters);
+  const auto router = aggregateRangeRouter(fullLatticeTable(100, 4), 4, &counters);
 
   // A range [20, 60) must split into [20,25) [25,50) [50,60).
   Bytes blob(40 * 4, 9);
@@ -134,6 +248,10 @@ TEST(AggregateRouterTest, SplitsAtPartitionBoundaries) {
   routed = router(hadoop::KeyValue{serializeAggregateKey({0, 30, 10}), Bytes(40, 1)}, 4);
   ASSERT_EQ(routed.size(), 1u);
   EXPECT_EQ(routed[0].first, 1);
+
+  // The table fixes the reducer count.
+  EXPECT_THROW(router(hadoop::KeyValue{serializeAggregateKey({0, 30, 10}), Bytes(40, 1)}, 3),
+               std::logic_error);
 }
 
 TEST(AggregatorTest, CoalescesContiguousRuns) {

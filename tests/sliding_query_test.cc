@@ -8,6 +8,7 @@
 
 #include "grid/dataset.h"
 #include "hadoop/runtime.h"
+#include "job_identity.h"
 #include "scikey/sliding_query.h"
 
 namespace scishuffle::scikey {
@@ -102,6 +103,43 @@ TEST(SimpleVsAggregate, IdenticalResultsAndSmallerShuffle) {
   // Splitting actually happened in this configuration.
   EXPECT_GT(agg.routing_counters->get(hadoop::counter::kKeySplitsRouting), 0u);
   EXPECT_GT(aggResult.counters.get(hadoop::counter::kKeySplitsOverlap), 0u);
+}
+
+TEST(SlidingQuery, BalancedMedianJobIsBitIdenticalToTheSerialOracle) {
+  // A 34 x 34 grid gives a 36 x 36 output domain inside a 64 x 64 lattice:
+  // the uniform lattice split would put 79 % of the cells on reducer 0.
+  const grid::Variable input = makeInput(34, 34, 5);
+  SlidingQueryConfig config;
+  config.num_mappers = 4;
+  constexpr u64 kCells = 36 * 36;
+  constexpr int kReducers = 4;
+  for (const bool aggregate : {false, true}) {
+    hadoop::JobConfig base;
+    base.num_reducers = kReducers;
+    base.map_slots = 3;
+    base.intermediate_codec = aggregate ? "null" : "transform+gzipish";
+    PreparedJob job = aggregate ? buildAggregateSlidingJob(input, config, base)
+                                : buildSimpleSlidingJob(input, config, base);
+    const auto serial = hadoop::runJobSerial(job.job, job.map_tasks, job.reduce);
+    const auto pipelined = hadoop::runJob(job.job, job.map_tasks, job.reduce);
+    EXPECT_EQ(pipelined.outputs, serial.outputs) << aggregate;
+    EXPECT_EQ(testing::recordCounters(pipelined), testing::recordCounters(serial)) << aggregate;
+    EXPECT_EQ(testing::segmentByteCounts(pipelined), testing::segmentByteCounts(serial))
+        << aggregate;
+
+    // Each reducer outputs an equal share of the domain's cells.
+    for (int r = 0; r < kReducers; ++r) {
+      u64 cells = 0;
+      for (const auto& kv : serial.outputs[static_cast<std::size_t>(r)]) {
+        cells += aggregate ? deserializeAggregateKey(kv.key).count : 1;
+      }
+      EXPECT_EQ(cells, kCells / kReducers) << "reducer " << r << (aggregate ? " aggregate" : "");
+    }
+    const auto oracle = slidingOracle(input, config);
+    EXPECT_EQ(aggregate ? flattenAggregateOutputs(serial, *job.space)
+                        : flattenSimpleOutputs(serial, 2),
+              oracle);
+  }
 }
 
 TEST(SlidingQuery, OtherCellOpsAndRadii) {
