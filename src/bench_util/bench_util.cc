@@ -20,23 +20,6 @@ JsonFile::~JsonFile() {
   file_ << "\n";
 }
 
-void writeHistogramSummaries(JsonWriter& w,
-                             const std::vector<obs::HistogramSnapshot>& histograms) {
-  w.beginArray();
-  for (const auto& h : histograms) {
-    w.beginObject();
-    w.kv("name", h.name);
-    w.kv("unit", h.unit);
-    w.kv("count", h.count);
-    w.kv("p50", h.p50());
-    w.kv("p95", h.p95());
-    w.kv("p99", h.p99());
-    w.kv("max", h.max);
-    w.endObject();
-  }
-  w.endArray();
-}
-
 std::string withCommas(u64 v) {
   std::string digits = std::to_string(v);
   std::string out;

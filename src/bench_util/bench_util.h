@@ -12,7 +12,6 @@
 #include "grid/dataset.h"
 #include "io/common.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace scishuffle::bench {
 
@@ -32,11 +31,6 @@ class JsonFile {
   std::ofstream file_;
   JsonWriter writer_;
 };
-
-/// Emits compact histogram summaries (name/unit/count/p50/p95/p99/max) as a
-/// JSON array value — the per-stage section of a bench result file.
-void writeHistogramSummaries(JsonWriter& w,
-                             const std::vector<obs::HistogramSnapshot>& histograms);
 
 /// Seconds-resolution wall timer.
 class Timer {

@@ -285,7 +285,11 @@ bool BlockDecodeSource::advance() {
     aheadRawLen_ = 0;
     current_ = std::move(next);
   } else {
+    // No decode-ahead is in flight, so the reader's CPU counter moves only
+    // for this block.
+    const u64 cpuBefore = reader_.decompressCpuUs();
     auto block = reader_.nextBlock();
+    callerCpuUs_ += reader_.decompressCpuUs() - cpuBefore;
     if (!block) {
       exhausted_ = true;
       current_.clear();

@@ -146,6 +146,9 @@ class BlockDecodeSource final : public ByteSource {
   ~BlockDecodeSource() override;
 
   u64 decompressCpuUs() const { return reader_.decompressCpuUs(); }
+  /// The part of decompressCpuUs() spent on the reading thread: every block
+  /// without a pool, the first block with one.
+  u64 callerDecompressCpuUs() const { return callerCpuUs_; }
 
   /// High-water mark of decoded bytes held at once (current block plus any
   /// decode-ahead block in flight).
@@ -165,6 +168,7 @@ class BlockDecodeSource final : public ByteSource {
   std::optional<std::future<Bytes>> ahead_;
   u64 aheadRawLen_ = 0;
   u64 residentPeak_ = 0;
+  u64 callerCpuUs_ = 0;
   bool exhausted_ = false;
 };
 

@@ -76,7 +76,14 @@ KeyValue MergedSegmentStream::popHead(std::vector<Head>& heads, std::size_t inde
 
 void MergedSegmentStream::retire(const BlockDecodeSource& source) {
   decompressCpuUs_ += source.decompressCpuUs();
+  callerDecompressCpuUs_ += source.callerDecompressCpuUs();
   residentPeakBytes_ += source.residentPeakBytes();
+}
+
+u64 MergedSegmentStream::callerDecompressCpuUs() const {
+  u64 total = callerDecompressCpuUs_;
+  for (const Head& head : heads_) total += head.source->callerDecompressCpuUs();
+  return total;
 }
 
 void MergedSegmentStream::reduceSegmentCount(std::vector<Bytes>& segments) {

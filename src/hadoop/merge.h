@@ -38,6 +38,10 @@ class MergedSegmentStream final : public KVStream {
 
   std::optional<KeyValue> next() override;
 
+  /// Codec CPU spent so far decoding blocks on the calling thread: the share
+  /// of CODEC_DECOMPRESS_CPU_US that the caller's thread-CPU clock also sees.
+  u64 callerDecompressCpuUs() const;
+
  private:
   /// Streaming block-at-a-time reader over one segment, holding its next
   /// record.
@@ -67,8 +71,9 @@ class MergedSegmentStream final : public KVStream {
   ThreadPool* codecPool_;
   std::vector<Bytes> segments_;  // owns the bytes the heads borrow
   std::vector<Head> heads_;
-  u64 decompressCpuUs_ = 0;    // accumulated from retired heads
-  u64 residentPeakBytes_ = 0;  // accumulated from retired heads
+  u64 decompressCpuUs_ = 0;        // accumulated from retired heads
+  u64 callerDecompressCpuUs_ = 0;  // accumulated from retired heads
+  u64 residentPeakBytes_ = 0;      // accumulated from retired heads
   bool totalsReported_ = false;
   // Compressed segment bytes this live stream pins (the decoded-block
   // residency is the separate REDUCE_MERGE_RESIDENT_PEAK_BYTES counter).

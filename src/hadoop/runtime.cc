@@ -575,8 +575,13 @@ ReduceTaskExecution executeReduceTask(const JobConfig& config, const Codec* code
         exec.output.push_back(KeyValue{std::move(key), std::move(value)});
       };
       const u64 taskStart = threadCpuNowUs();
+      const u64 decodeStart = stream.callerDecompressCpuUs();
       config.grouper->run(stream, reduce, emit, taskCounters);
-      taskCounters.add(counter::kReduceCpuUs, threadCpuNowUs() - taskStart);
+      // Blocks the merge decoded on this thread are already in
+      // CODEC_DECOMPRESS_CPU_US; count them once, as the map side does its
+      // mid-task spills.
+      taskCounters.add(counter::kReduceCpuUs, threadCpuNowUs() - taskStart -
+                                                  (stream.callerDecompressCpuUs() - decodeStart));
       span.arg("output_records", taskCounters.get(counter::kReduceOutputRecords));
       exec.stats.cpu_us = taskCounters.get(counter::kReduceCpuUs) +
                           taskCounters.get(counter::kCodecDecompressCpuUs);

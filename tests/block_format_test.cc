@@ -12,10 +12,9 @@
 
 #include "compress/block_format.h"
 #include "hadoop/runtime.h"
-#include "io/primitives.h"
-#include "io/streams.h"
 #include "transform/transform_codec.h"
 #include "job_identity.h"
+#include "testing_support.h"
 
 namespace scishuffle {
 namespace {
@@ -172,17 +171,9 @@ using hadoop::JobResult;
 using hadoop::MapTask;
 using hadoop::ReduceFn;
 
-Bytes toBytes(const std::string& s) {
-  return Bytes(reinterpret_cast<const u8*>(s.data()),
-               reinterpret_cast<const u8*>(s.data()) + s.size());
-}
-
-Bytes encodeI64(i64 v) {
-  Bytes out;
-  MemorySink sink(out);
-  writeI64(sink, v);
-  return out;
-}
+using scishuffle::testing::toBytes;
+using scishuffle::testing::encodeI64;
+using scishuffle::testing::decodeI64;
 
 JobResult runWordCountJob(JobConfig config, int docs, int words, u32 seed, bool serial = false) {
   const std::vector<std::string> vocab = {"the", "windspeed", "grid", "key",
@@ -197,10 +188,7 @@ JobResult runWordCountJob(JobConfig config, int docs, int words, u32 seed, bool 
   }
   const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
     i64 sum = 0;
-    for (const auto& v : values) {
-      MemorySource src(v);
-      sum += readI64(src);
-    }
+    for (const auto& v : values) sum += decodeI64(v);
     emit(key, encodeI64(sum));
   };
   return serial ? hadoop::runJobSerial(config, tasks, reduce) : runJob(config, tasks, reduce);

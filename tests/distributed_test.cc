@@ -8,10 +8,7 @@
 // so a workload registered only here can still be rebuilt on the worker side.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,32 +20,19 @@
 #include "service/workload.h"
 #include "testing/fault_injector.h"
 #include "job_identity.h"
+#include "testing_support.h"
 
 namespace {
 
 using namespace scishuffle;
 namespace fs = std::filesystem;
+using scishuffle::testing::TempDir;
+using scishuffle::testing::slurp;
 namespace counter = hadoop::counter;
 using scishuffle::testing::FaultInjector;
 using scishuffle::testing::FaultKind;
 using scishuffle::testing::FaultPlan;
 using scishuffle::testing::FaultRule;
-
-/// Sockets live here: keep it short (sockaddr_un path limit) and unique per
-/// test (ctest -j runs these concurrently).
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    char tmpl[] = "/tmp/scishuffle-dist-XXXXXX";
-    const char* p = ::mkdtemp(tmpl);
-    if (p == nullptr) throw std::runtime_error("mkdtemp failed");
-    path = p;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 hadoop::JobResult serialBaseline(const std::vector<std::string>& args) {
   service::Workload w = service::buildWorkload("wordcount", args);
@@ -81,18 +65,11 @@ void registerTestWorkloads() {
   });
 }
 
-std::string slurp(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 TEST(DistributedTest, TwoWorkersBitIdenticalToSerial) {
-  TempDir dir;
+  const TempDir dir("scishuffle-dist");
   const std::vector<std::string> args = {"6", "400"};
   const hadoop::JobResult serial = serialBaseline(args);
-  const service::DistributedConfig cfg = baseConfig(dir.path, 2);
+  const service::DistributedConfig cfg = baseConfig(dir.path(), 2);
   const service::DistributedResult dist = service::runDistributedJob("wordcount", args, cfg);
 
   EXPECT_EQ(dist.job.outputs, serial.outputs);
@@ -113,30 +90,30 @@ TEST(DistributedTest, TwoWorkersBitIdenticalToSerial) {
 }
 
 TEST(DistributedTest, SingleWorkerMatchesSerial) {
-  TempDir dir;
+  const TempDir dir("scishuffle-dist");
   const std::vector<std::string> args = {"4", "200"};
   const hadoop::JobResult serial = serialBaseline(args);
   const service::DistributedResult dist =
-      service::runDistributedJob("wordcount", args, baseConfig(dir.path, 1));
+      service::runDistributedJob("wordcount", args, baseConfig(dir.path(), 1));
   EXPECT_EQ(dist.job.outputs, serial.outputs);
   EXPECT_EQ(dist.worker_deaths, 0);
 }
 
 TEST(DistributedTest, WorkerKillMidShuffleRecovers) {
-  TempDir dir;
+  const TempDir dir("scishuffle-dist");
   const std::vector<std::string> args = {"8", "300"};
   const hadoop::JobResult serial = serialBaseline(args);
-  service::DistributedConfig cfg = baseConfig(dir.path, 2);
+  service::DistributedConfig cfg = baseConfig(dir.path(), 2);
   // One worker completes one task, then dies SIGKILL-style (_Exit, no
   // goodbye) on its next assignment — mid-shuffle, because the fetch pump is
   // already pulling its first task's segments while later maps run. The hook
   // goes to both workers behind one crash token, so exactly one dies: a
   // single pre-chosen victim might get fewer than two of the 8 tasks.
-  const fs::path token = dir.path / "crash-token";
+  const fs::path token = dir.path() / "crash-token";
   cfg.extra_worker_args.assign(2, {"--exit-after-tasks", "1", "--crash-token", token.string()});
-  cfg.metrics_path = dir.path / "coord-metrics.jsonl";
+  cfg.metrics_path = dir.path() / "coord-metrics.jsonl";
   cfg.sample_interval_ms = 5;
-  cfg.worker_metrics_dir = dir.path / "workers";
+  cfg.worker_metrics_dir = dir.path() / "workers";
   const service::DistributedResult dist = service::runDistributedJob("wordcount", args, cfg);
 
   EXPECT_EQ(dist.job.outputs, serial.outputs);
@@ -165,7 +142,7 @@ TEST(DistributedTest, WorkerKillMidShuffleRecovers) {
 }
 
 TEST(DistributedTest, TransportFaultsHealedByReconnect) {
-  TempDir dir;
+  const TempDir dir("scishuffle-dist");
   const std::vector<std::string> args = {"6", "300"};
   const hadoop::JobResult serial = serialBaseline(args);
 
@@ -193,7 +170,7 @@ TEST(DistributedTest, TransportFaultsHealedByReconnect) {
   }
   FaultInjector faults(plan);
 
-  service::DistributedConfig cfg = baseConfig(dir.path, 2);
+  service::DistributedConfig cfg = baseConfig(dir.path(), 2);
   cfg.fault_injector = &faults;
   const service::DistributedResult dist = service::runDistributedJob("wordcount", args, cfg);
 
@@ -205,16 +182,16 @@ TEST(DistributedTest, TransportFaultsHealedByReconnect) {
 }
 
 TEST(DistributedTest, HungWorkerCaughtByHeartbeatTimeout) {
-  TempDir dir;
+  const TempDir dir("scishuffle-dist");
   const std::vector<std::string> args = {"6", "200"};
   const hadoop::JobResult serial = serialBaseline(args);
-  service::DistributedConfig cfg = baseConfig(dir.path, 2);
+  service::DistributedConfig cfg = baseConfig(dir.path(), 2);
   // The first worker to be handed a task goes silent: no heartbeat, no
   // TaskDone, no EOF (the process stays alive). Only the heartbeat timeout
   // can catch this one. The hook goes to both workers behind one crash
   // token: a single pre-chosen worker might register after the other has
   // run every task.
-  const fs::path token = dir.path / "hang-token";
+  const fs::path token = dir.path() / "hang-token";
   cfg.extra_worker_args.assign(2, {"--hang-after-tasks", "0", "--crash-token", token.string()});
   cfg.heartbeat_interval_ms = 10;
   cfg.heartbeat_timeout_ms = 250;
@@ -227,11 +204,11 @@ TEST(DistributedTest, HungWorkerCaughtByHeartbeatTimeout) {
 }
 
 TEST(DistributedTest, WorkloadTelemetryReachesTheResult) {
-  TempDir dir;
+  const TempDir dir("scishuffle-dist");
   const std::vector<std::string> args = {"6", "300"};
   const service::Workload w = service::buildWorkload(kHistogramWordcount, args);
   const hadoop::JobResult local = hadoop::runJob(w.config, w.map_tasks, w.reduce);
-  service::DistributedConfig cfg = baseConfig(dir.path, 2);
+  service::DistributedConfig cfg = baseConfig(dir.path(), 2);
   cfg.worker_command = {fs::read_symlink("/proc/self/exe").string(), "worker"};
   const service::DistributedResult dist =
       service::runDistributedJob(kHistogramWordcount, args, cfg);
@@ -243,8 +220,8 @@ TEST(DistributedTest, WorkloadTelemetryReachesTheResult) {
 }
 
 TEST(DistributedTest, AllWorkersLostFailsLoudly) {
-  TempDir dir;
-  service::DistributedConfig cfg = baseConfig(dir.path, 1);
+  const TempDir dir("scishuffle-dist");
+  service::DistributedConfig cfg = baseConfig(dir.path(), 1);
   cfg.extra_worker_args = {{"--exit-after-tasks", "0"}};  // dies on the first task
   EXPECT_THROW(service::runDistributedJob("wordcount", {"4", "100"}, cfg), std::runtime_error);
 }

@@ -23,16 +23,16 @@ inline std::map<std::string, u64> recordCounters(const hadoop::JobResult& result
   return records;
 }
 
-/// Materialized, shuffled and merge-pass bytes, plus each map task's
-/// per-reducer segment sizes (as "map_tasks[m].segment_bytes[r]"). Segments
-/// seal blocks at fixed raw offsets, so none of these depends on the codec
-/// pool or the schedule. REDUCE_MERGE_RESIDENT_PEAK_BYTES is left out: it
+/// Raw map-output, materialized, shuffled and merge-pass bytes, plus each map
+/// task's per-reducer segment sizes (as "map_tasks[m].segment_bytes[r]").
+/// Segments seal blocks at fixed raw offsets, so none of these depends on the
+/// codec pool or the schedule. REDUCE_MERGE_RESIDENT_PEAK_BYTES is left out: it
 /// counts decode-ahead, which only a codec pool does.
 inline std::map<std::string, u64> segmentByteCounts(const hadoop::JobResult& result) {
   std::map<std::string, u64> bytes;
   for (const char* name :
-       {hadoop::counter::kMapOutputMaterializedBytes, hadoop::counter::kReduceShuffleBytes,
-        hadoop::counter::kReduceMergeMaterializedBytes}) {
+       {hadoop::counter::kMapOutputBytes, hadoop::counter::kMapOutputMaterializedBytes,
+        hadoop::counter::kReduceShuffleBytes, hadoop::counter::kReduceMergeMaterializedBytes}) {
     bytes[name] = result.counters.get(name);
   }
   for (std::size_t m = 0; m < result.map_tasks.size(); ++m) {

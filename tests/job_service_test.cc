@@ -1,14 +1,16 @@
 // Job-service scheduler tests (ctest label: tsan): lifecycle against the
 // standalone runtime, the priority-then-FIFO admission order as a seeded
-// property, graceful shutdown with jobs in flight, queue-full rejection, the
-// socket front-end round trip, and the cancelled-job teardown regression
-// (outstanding pool bytes must return to their pre-job level).
+// property, graceful shutdown with jobs in flight, queue-full rejection, a
+// governed mixed-codec fleet held to its RSS budget, the socket front-end
+// round trip, and the cancelled-job teardown regression (outstanding pool
+// bytes must return to their pre-job level).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -17,11 +19,10 @@
 
 #include "hadoop/runtime.h"
 #include "io/buffer_pool.h"
-#include "io/primitives.h"
-#include "io/streams.h"
 #include "proptest.h"
 #include "service/job_service.h"
 #include "service/service_socket.h"
+#include "service/workload.h"
 #include "testing_support.h"
 
 namespace scishuffle::service {
@@ -29,22 +30,9 @@ namespace {
 
 using scishuffle::testing::TempDir;
 
-Bytes toBytes(const std::string& s) {
-  return Bytes(reinterpret_cast<const u8*>(s.data()),
-               reinterpret_cast<const u8*>(s.data()) + s.size());
-}
-
-Bytes encodeI64(i64 v) {
-  Bytes out;
-  MemorySink sink(out);
-  writeI64(sink, v);
-  return out;
-}
-
-i64 decodeI64(const Bytes& b) {
-  MemorySource src(b);
-  return readI64(src);
-}
+using scishuffle::testing::toBytes;
+using scishuffle::testing::encodeI64;
+using scishuffle::testing::decodeI64;
 
 const hadoop::ReduceFn kSumReduce = [](const Bytes& key, std::vector<Bytes>& values,
                                        const hadoop::EmitFn& emit) {
@@ -53,24 +41,17 @@ const hadoop::ReduceFn kSumReduce = [](const Bytes& key, std::vector<Bytes>& val
   emit(key, encodeI64(sum));
 };
 
-/// The canonical word-count workload; closures capture everything by value so
-/// the spec outlives the scope that built it (the service contract).
+/// The registered word-count workload as a service job; its closures capture
+/// everything by value, so the spec outlives the scope that built it (the
+/// service contract).
 JobSpec wordcountSpec(const std::string& name, int maps, int words,
                       const std::string& codec = "gzipish") {
+  Workload w = buildWorkload("wordcount", {std::to_string(maps), std::to_string(words), codec});
   JobSpec spec;
   spec.name = name;
-  spec.config.num_reducers = 3;
-  spec.config.intermediate_codec = codec;
-  const std::vector<std::string> vocab = {"the", "windspeed", "grid", "key",
-                                          "map", "reduce",    "sci", "curve"};
-  for (int m = 0; m < maps; ++m) {
-    spec.map_tasks.push_back(hadoop::MapTask{[m, words, vocab](const hadoop::EmitFn& emit) {
-      for (int i = 0; i < words; ++i) {
-        emit(toBytes(vocab[static_cast<std::size_t>((i * 7 + m) % 8)]), encodeI64(1));
-      }
-    }});
-  }
-  spec.reduce = kSumReduce;
+  spec.config = std::move(w.config);
+  spec.map_tasks = std::move(w.map_tasks);
+  spec.reduce = std::move(w.reduce);
   return spec;
 }
 
@@ -382,6 +363,58 @@ TEST(JobServiceTest, OverflowSpillPreservesOutput) {
   EXPECT_GT(result.counters.get(hadoop::counter::kShuffleSegmentsOverflowed), 0u);
   service.shutdown();
   EXPECT_TRUE(std::filesystem::is_empty(dir.path()));  // spill files cleaned up
+}
+
+// The governed fleet: four word-count jobs, one per codec, through two slots
+// must each reproduce their serial baseline bit for bit, and the governor's
+// sampled peak RSS must stay within 1.5x the same fleet's peak through one
+// slot, or that peak plus 48 MiB where allocator noise would dominate the
+// ratio. ctest runs each case in its own process, so both peaks are this
+// case's own.
+TEST(JobServiceTest, GovernedFleetStaysWithinItsBudget) {
+  const std::vector<std::string> codecs = {"null", "gzipish", "transform+gzipish", "bzip2ish"};
+  constexpr int kMaps = 4;
+  constexpr int kWords = 5000;
+  std::map<std::string, hadoop::JobResult> baselines;
+  for (const std::string& codec : codecs) {
+    const JobSpec spec = wordcountSpec("baseline", kMaps, kWords, codec);
+    baselines.emplace(codec, hadoop::runJobSerial(spec.config, spec.map_tasks, spec.reduce));
+  }
+
+  TempDir overflow("svc_fleet");
+  // Runs the fleet under `budget` and returns the governor's sampled peak.
+  const auto runFleet = [&](int slots, u64 budget, u64 reserve) {
+    ServiceConfig config;
+    config.max_concurrent_jobs = slots;
+    config.queue_capacity = codecs.size() + 1;
+    config.memory_budget_bytes = budget;
+    config.governor_interval_ms = 2;
+    config.job_reserve_bytes = reserve;
+    config.overflow_dir = overflow.path();
+    JobService service(config);
+    std::vector<std::pair<u64, std::string>> submitted;
+    for (std::size_t j = 0; j < codecs.size(); ++j) {
+      const SubmitResult r =
+          service.submit(wordcountSpec("fleet" + std::to_string(j), kMaps, kWords, codecs[j]));
+      EXPECT_TRUE(r.accepted);
+      submitted.emplace_back(r.id, codecs[j]);
+    }
+    for (const auto& [id, codec] : submitted) {
+      EXPECT_EQ(service.takeResult(id).outputs, baselines.at(codec).outputs)
+          << codec << " through " << slots << " slots";
+    }
+    const MemoryGovernor* governor = service.governor();
+    const u64 peak = governor != nullptr ? governor->peakRssBytes() : 0;
+    service.shutdown();
+    return peak;
+  };
+
+  const u64 onePeak = runFleet(1, 1ull << 30, 8ull << 20);
+  ASSERT_GT(onePeak, 0u) << "a budgeted service must run a governor";
+  const u64 budget = std::max<u64>(onePeak + onePeak / 2, onePeak + (48ull << 20));
+  const u64 twoPeak = runFleet(2, budget, std::max<u64>(8ull << 20, onePeak / 2));
+  EXPECT_GT(twoPeak, 0u);
+  EXPECT_LE(twoPeak, budget) << "one-slot peak " << onePeak;
 }
 
 TEST(JobServiceTest, SocketFrontEndRoundTrip) {

@@ -12,33 +12,15 @@
 #include "compress/codec.h"
 #include "hadoop/runtime.h"
 #include "io/clock.h"
-#include "io/primitives.h"
-#include "io/streams.h"
 #include "testing_support.h"
 
 namespace scishuffle::hadoop {
 namespace {
 
-Bytes toBytes(const std::string& s) {
-  return Bytes(reinterpret_cast<const u8*>(s.data()),
-               reinterpret_cast<const u8*>(s.data()) + s.size());
-}
-
-std::string toString(const Bytes& b) {
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-}
-
-Bytes encodeI64(i64 v) {
-  Bytes out;
-  MemorySink sink(out);
-  writeI64(sink, v);
-  return out;
-}
-
-i64 decodeI64(const Bytes& b) {
-  MemorySource src(b);
-  return readI64(src);
-}
+using scishuffle::testing::toBytes;
+using scishuffle::testing::toString;
+using scishuffle::testing::encodeI64;
+using scishuffle::testing::decodeI64;
 
 /// Deterministic synthetic corpus: `docs` documents of `words` words drawn
 /// from a small vocabulary.
@@ -343,6 +325,40 @@ TEST(EngineTest, TaskCpuCountsEachSpillOnce) {
   EXPECT_GT(exec.counters.get(counter::kSortCpuUs) +
                 exec.counters.get(counter::kCodecCompressCpuUs),
             0u);
+  EXPECT_LE(exec.stats.cpu_us, threadCpu);
+}
+
+TEST(EngineTest, ReduceCpuCountsEachDecodeOnce) {
+  // Without a codec pool the merge decodes every block on this thread, most
+  // of them inside the reduce window. The task's cpu_us sums that window and
+  // the codec's decode CPU, so a block counted in both would exceed the CPU
+  // time the thread actually used.
+  registerBuiltinCodecs();
+  const auto codec = CodecRegistry::instance().create("gzipish");
+  JobConfig config;
+  config.num_reducers = 1;
+  config.shuffle_block_bytes = 16u << 10;  // many blocks per segment
+  const auto docs = corpus(4, 20000, 42);
+  std::vector<Bytes> segments;
+  for (std::size_t m = 0; m < docs.size(); ++m) {
+    const MapTask task{[&doc = docs[m]](const EmitFn& emit) {
+      for (const auto& w : doc) emit(toBytes(w), encodeI64(1));
+    }};
+    segments.push_back(executeMapTask(config, codec.get(), nullptr, task, m).output.segments[0]);
+  }
+  const ReduceFn reduce = [](const Bytes& key, std::vector<Bytes>& values, const EmitFn& emit) {
+    i64 sum = 0;
+    for (const auto& v : values) sum += decodeI64(v);
+    emit(key, encodeI64(sum));
+  };
+
+  const u64 threadStart = threadCpuNowUs();
+  const ReduceTaskExecution exec =
+      executeReduceTask(config, codec.get(), nullptr, reduce, segments, 0);
+  const u64 threadCpu = threadCpuNowUs() - threadStart;
+
+  EXPECT_EQ(exec.counters.get(counter::kReduceInputRecords), 80000u);
+  EXPECT_GT(exec.counters.get(counter::kCodecDecompressCpuUs), 0u);
   EXPECT_LE(exec.stats.cpu_us, threadCpu);
 }
 

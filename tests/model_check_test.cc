@@ -33,6 +33,7 @@ TEST(ModelCheckTest, RequiresModelCheckBuild) {
 #include "service/governor.h"
 #include "service/job_service.h"
 #include "testing/schedule.h"
+#include "testing_support.h"
 
 namespace scishuffle {
 namespace {
@@ -203,10 +204,7 @@ TEST(ModelCheckTest, LostWakeupIsFound) {
 // ---------------------------------------------------------------------------
 // Subsystems under exploration.
 
-Bytes bytesOf(const std::string& s) {
-  return Bytes(reinterpret_cast<const u8*>(s.data()),
-               reinterpret_cast<const u8*>(s.data()) + s.size());
-}
+using scishuffle::testing::toBytes;
 
 TEST(ModelCheckShuffleTest, PublishFetchTeardownExhaustive) {
   // Two concurrent publishers race one fetching consumer; every schedule
@@ -215,8 +213,8 @@ TEST(ModelCheckShuffleTest, PublishFetchTeardownExhaustive) {
   // the teardown drain path — under every interleaving DFS can reach.
   auto body = [] {
     hadoop::ShuffleServer server(/*numMaps=*/3, /*numReducers=*/1);
-    Thread p0([&server] { server.publish(0, {bytesOf("alpha")}); });
-    Thread p1([&server] { server.publish(1, {bytesOf("beta")}); });
+    Thread p0([&server] { server.publish(0, {toBytes("alpha")}); });
+    Thread p1([&server] { server.publish(1, {toBytes("beta")}); });
     std::multiset<std::string> got;
     for (int i = 0; i < 2; ++i) {
       std::optional<hadoop::ShuffleServer::Fetched> f = server.fetch(0);
@@ -229,7 +227,7 @@ TEST(ModelCheckShuffleTest, PublishFetchTeardownExhaustive) {
       throw std::logic_error("fetch lost or duplicated a segment");
     }
     // Map 2 publishes but is never fetched: ~ShuffleServer must drain it.
-    server.publish(2, {bytesOf("gamma")});
+    server.publish(2, {toBytes("gamma")});
   };
   ExploreOptions opts;
   opts.exhaustive = true;
@@ -271,7 +269,7 @@ class PublishThenThrowMapSide final : public hadoop::MapSide {
  public:
   std::size_t numTasks() const override { return 2; }
   void run(const hadoop::MapSideSink& sink) override {
-    sink.server.publish(0, {bytesOf("map0-r0"), bytesOf("map0-r1")});
+    sink.server.publish(0, {toBytes("map0-r0"), toBytes("map0-r1")});
     throw std::runtime_error("map side failed");
   }
 };
@@ -326,8 +324,8 @@ service::JobSpec tinyJob(const std::string& name) {
   spec.config.codec_threads = 1;
   spec.config.intermediate_codec = "null";
   spec.map_tasks.push_back(hadoop::MapTask{[](const hadoop::EmitFn& emit) {
-    const Bytes k = bytesOf("k");
-    const Bytes v = bytesOf("v");
+    const Bytes k = toBytes("k");
+    const Bytes v = toBytes("v");
     emit(k, v);
   }});
   spec.reduce = [](const Bytes& key, std::vector<Bytes>& values, const hadoop::EmitFn& emit) {
@@ -405,8 +403,8 @@ TEST(ModelCheckServiceTest, GovernorSqueezePctSoak) {
     hadoop::ShuffleServer server(/*numMaps=*/2, /*numReducers=*/1);
     governor.attach(server);
     governor.start();
-    Thread p0([&server] { server.publish(0, {bytesOf("squeezed-0")}); });
-    Thread p1([&server] { server.publish(1, {bytesOf("squeezed-1")}); });
+    Thread p0([&server] { server.publish(0, {toBytes("squeezed-0")}); });
+    Thread p1([&server] { server.publish(1, {toBytes("squeezed-1")}); });
     for (int i = 0; i < 2; ++i) {
       std::optional<hadoop::ShuffleServer::Fetched> f = server.fetch(0);
       if (!f.has_value()) throw std::logic_error("segment lost under squeeze");

@@ -12,8 +12,6 @@
 #include "hadoop/report.h"
 #include "hadoop/retry.h"
 #include "hadoop/runtime.h"
-#include "io/primitives.h"
-#include "io/streams.h"
 #include "testing/fault_injector.h"
 #include "testing_support.h"
 
@@ -153,26 +151,10 @@ TEST(BackoffTest, DeterministicGrowingAndCapped) {
 // ---------------------------------------------------------------------------
 // End-to-end acceptance: faulted jobs heal (or fail with named sites).
 
-Bytes toBytes(const std::string& s) {
-  return Bytes(reinterpret_cast<const u8*>(s.data()),
-               reinterpret_cast<const u8*>(s.data()) + s.size());
-}
-
-std::string toString(const Bytes& b) {
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-}
-
-Bytes encodeI64(i64 v) {
-  Bytes out;
-  MemorySink sink(out);
-  writeI64(sink, v);
-  return out;
-}
-
-i64 decodeI64(const Bytes& b) {
-  MemorySource src(b);
-  return readI64(src);
-}
+using scishuffle::testing::toBytes;
+using scishuffle::testing::toString;
+using scishuffle::testing::encodeI64;
+using scishuffle::testing::decodeI64;
 
 std::map<std::string, i64> countsOf(const JobResult& result) {
   std::map<std::string, i64> counts;

@@ -7,7 +7,6 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <stdexcept>
@@ -19,25 +18,13 @@
 #include "service/service_socket.h"
 #include "service/signals.h"
 #include "service/workload.h"
+#include "testing_support.h"
 
 namespace {
 
 using namespace scishuffle;
 namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    char tmpl[] = "/tmp/scishuffle-sig-XXXXXX";
-    const char* p = ::mkdtemp(tmpl);
-    if (p == nullptr) throw std::runtime_error("mkdtemp failed");
-    path = p;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using scishuffle::testing::TempDir;
 
 /// Spec builder for the endpoint: "wordcount ..." via the shared registry,
 /// or "slowcount <ms>" — one map task that sleeps, to hold a runner slot
@@ -81,11 +68,11 @@ bool waitFor(const std::function<bool()>& pred, int timeoutMs) {
 }
 
 TEST(SignalsTest, FirstSignalDrainsEverythingAdmitted) {
-  TempDir dir;
+  const TempDir dir("scishuffle-sig");
   service::ServiceConfig config;
   config.max_concurrent_jobs = 2;
   service::JobService svc(config);
-  service::ServiceEndpoint endpoint(svc, dir.path / "svc.sock", buildSpec);
+  service::ServiceEndpoint endpoint(svc, dir.path() / "svc.sock", buildSpec);
   service::ShutdownSignalGuard guard([&endpoint] { endpoint.requestShutdown(); },
                                      [&svc] { svc.cancelAllQueued(); });
 
@@ -113,11 +100,11 @@ TEST(SignalsTest, FirstSignalDrainsEverythingAdmitted) {
 }
 
 TEST(SignalsTest, SecondSignalCancelsTheQueue) {
-  TempDir dir;
+  const TempDir dir("scishuffle-sig");
   service::ServiceConfig config;
   config.max_concurrent_jobs = 1;  // one slot, so later submissions queue up
   service::JobService svc(config);
-  service::ServiceEndpoint endpoint(svc, dir.path / "svc.sock", buildSpec);
+  service::ServiceEndpoint endpoint(svc, dir.path() / "svc.sock", buildSpec);
   service::ShutdownSignalGuard guard([&endpoint] { endpoint.requestShutdown(); },
                                      [&svc] { svc.cancelAllQueued(); });
 

@@ -7,41 +7,27 @@
 // extrapolations silently go wrong.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cluster/simulator.h"
 #include "service/coordinator.h"
 #include "service/workload.h"
+#include "testing_support.h"
 
 namespace {
 
 using namespace scishuffle;
 namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    char tmpl[] = "/tmp/scishuffle-simfi-XXXXXX";
-    const char* p = ::mkdtemp(tmpl);
-    if (p == nullptr) throw std::runtime_error("mkdtemp failed");
-    path = p;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using scishuffle::testing::TempDir;
 
 TEST(SimFidelityTest, SimulatorTracksMeasuredDistributedPhases) {
-  TempDir dir;
+  const TempDir dir("scishuffle-simfi");
   service::DistributedConfig cfg;
   cfg.num_workers = 2;
   cfg.worker_command = {SCISHUFFLE_WORKER_BIN};
-  cfg.work_dir = dir.path;
+  cfg.work_dir = dir.path();
   // Big enough that per-task CPU dominates the fork/hello/assign overheads
   // the simulator does not model.
   const std::vector<std::string> args = {"6", "20000"};

@@ -118,6 +118,7 @@ TEST(SlidingQuery, BalancedMedianJobIsBitIdenticalToTheSerialOracle) {
     base.num_reducers = kReducers;
     base.map_slots = 3;
     base.intermediate_codec = aggregate ? "null" : "transform+gzipish";
+    base.spill_buffer_bytes = 4u << 10;  // several spills per map task, then a spill merge
     PreparedJob job = aggregate ? buildAggregateSlidingJob(input, config, base)
                                 : buildSimpleSlidingJob(input, config, base);
     const auto serial = hadoop::runJobSerial(job.job, job.map_tasks, job.reduce);
@@ -125,6 +126,9 @@ TEST(SlidingQuery, BalancedMedianJobIsBitIdenticalToTheSerialOracle) {
     EXPECT_EQ(pipelined.outputs, serial.outputs) << aggregate;
     EXPECT_EQ(testing::recordCounters(pipelined), testing::recordCounters(serial)) << aggregate;
     EXPECT_EQ(testing::segmentByteCounts(pipelined), testing::segmentByteCounts(serial))
+        << aggregate;
+    EXPECT_GE(serial.counters.get(hadoop::counter::kMapOutputBytes),
+              static_cast<u64>(4 * config.num_mappers) * base.spill_buffer_bytes)
         << aggregate;
 
     // Each reducer outputs an equal share of the domain's cells.

@@ -11,10 +11,7 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <random>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,29 +25,10 @@ namespace {
 
 using namespace scishuffle;
 namespace fs = std::filesystem;
+using scishuffle::testing::TempDir;
+using scishuffle::testing::slurp;
 namespace counter = hadoop::counter;
 using scishuffle::testing::propertySeed;
-
-struct ScratchDir {
-  fs::path path;
-  ScratchDir() {
-    char tmpl[] = "/tmp/scishuffle-soak-XXXXXX";
-    const char* p = ::mkdtemp(tmpl);
-    if (p == nullptr) throw std::runtime_error("mkdtemp failed");
-    path = p;
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
-
-std::string slurp(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 TEST(StressDistributedTest, RandomWorkerKillSoakStaysBitIdentical) {
   const u64 seed = propertySeed();
@@ -64,11 +42,11 @@ TEST(StressDistributedTest, RandomWorkerKillSoakStaysBitIdentical) {
 
   // Per-round metrics artifacts: overridable so CI can upload them.
   fs::path metricsRoot;
-  ScratchDir scratch;
+  const TempDir scratch("scishuffle-soak");
   if (const char* env = std::getenv("SCISHUFFLE_SOAK_METRICS_DIR")) {
     metricsRoot = fs::path(env) / "dist";
   } else {
-    metricsRoot = scratch.path / "metrics";
+    metricsRoot = scratch.path() / "metrics";
   }
   fs::create_directories(metricsRoot);
 
@@ -76,11 +54,11 @@ TEST(StressDistributedTest, RandomWorkerKillSoakStaysBitIdentical) {
   constexpr int kWorkers = 3;
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE(::testing::Message() << "round=" << round);
-    ScratchDir dir;
+    const TempDir dir("scishuffle-soak");
     service::DistributedConfig cfg;
     cfg.num_workers = kWorkers;
     cfg.worker_command = {SCISHUFFLE_WORKER_BIN};
-    cfg.work_dir = dir.path;
+    cfg.work_dir = dir.path();
     cfg.heartbeat_interval_ms = 10;
     cfg.heartbeat_timeout_ms = 2000;
     cfg.transport_retry.enabled = true;
@@ -99,7 +77,7 @@ TEST(StressDistributedTest, RandomWorkerKillSoakStaysBitIdentical) {
     // give some worker at least 4 assignments.
     const int killAfter = static_cast<int>(rng() % 3);
     SCOPED_TRACE(::testing::Message() << "killAfter=" << killAfter);
-    const fs::path token = dir.path / "crash-token";
+    const fs::path token = dir.path() / "crash-token";
     cfg.extra_worker_args.assign(kWorkers, {"--exit-after-tasks", std::to_string(killAfter),
                                             "--crash-token", token.string()});
 

@@ -17,8 +17,6 @@
 
 #include "hadoop/runtime.h"
 #include "io/buffer_pool.h"
-#include "io/primitives.h"
-#include "io/streams.h"
 #include "service/job_service.h"
 #include "testing/fault_injector.h"
 #include "job_identity.h"
@@ -33,22 +31,9 @@ using scishuffle::testing::FaultRule;
 using scishuffle::testing::TempDir;
 namespace site = scishuffle::testing::site;
 
-Bytes toBytes(const std::string& s) {
-  return Bytes(reinterpret_cast<const u8*>(s.data()),
-               reinterpret_cast<const u8*>(s.data()) + s.size());
-}
-
-Bytes encodeI64(i64 v) {
-  Bytes out;
-  MemorySink sink(out);
-  writeI64(sink, v);
-  return out;
-}
-
-i64 decodeI64(const Bytes& b) {
-  MemorySource src(b);
-  return readI64(src);
-}
+using scishuffle::testing::toBytes;
+using scishuffle::testing::encodeI64;
+using scishuffle::testing::decodeI64;
 
 /// A corpus plus the job shape that must match between the serial baseline
 /// and the service run for outputs to compare byte for byte.

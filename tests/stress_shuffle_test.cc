@@ -12,8 +12,6 @@
 #include <vector>
 
 #include "hadoop/runtime.h"
-#include "io/primitives.h"
-#include "io/streams.h"
 #include "job_identity.h"
 #include "testing/fault_injector.h"
 #include "testing_support.h"
@@ -26,22 +24,9 @@ using scishuffle::testing::FaultPlan;
 using scishuffle::testing::FaultRule;
 namespace site = scishuffle::testing::site;
 
-Bytes toBytes(const std::string& s) {
-  return Bytes(reinterpret_cast<const u8*>(s.data()),
-               reinterpret_cast<const u8*>(s.data()) + s.size());
-}
-
-Bytes encodeI64(i64 v) {
-  Bytes out;
-  MemorySink sink(out);
-  writeI64(sink, v);
-  return out;
-}
-
-i64 decodeI64(const Bytes& b) {
-  MemorySource src(b);
-  return readI64(src);
-}
+using scishuffle::testing::toBytes;
+using scishuffle::testing::encodeI64;
+using scishuffle::testing::decodeI64;
 
 /// A corpus plus the fixed job shape that must match between baseline and
 /// faulted runs for outputs to be comparable byte for byte.

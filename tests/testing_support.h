@@ -1,17 +1,19 @@
-// Shared helpers for scishuffle tests: deterministic data generators that
-// mimic the byte patterns the paper cares about, plus a strict little JSON
+// Shared helpers for scishuffle tests: scratch directories, the word-count
+// record encoding, deterministic data generators that mimic the byte
+// patterns the paper cares about, plus a strict little JSON
 // parser for validating the JSON artifacts the observability layer emits
 // (trace files, jobReportJson, BENCH_*.json).
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,17 +24,15 @@
 
 namespace scishuffle::testing {
 
-/// RAII temporary directory under the system temp root, removed recursively
-/// on destruction. Replaces the ad-hoc create/remove_all pairs the suites
-/// used to carry.
+/// RAII scratch directory made by mkdtemp under /tmp: unique, created
+/// atomically, and short enough for the UNIX-socket paths the service and
+/// distributed tests bind inside it. Removed recursively on destruction.
 class TempDir {
  public:
   explicit TempDir(const std::string& prefix = "scishuffle") {
-    static std::atomic<u64> counter{0};
-    std::random_device rd;
-    const u64 tag = (static_cast<u64>(rd()) << 16) ^ counter.fetch_add(1);
-    path_ = std::filesystem::temp_directory_path() / (prefix + "_" + std::to_string(tag));
-    std::filesystem::create_directories(path_);
+    std::string tmpl = "/tmp/" + prefix + "-XXXXXX";
+    if (::mkdtemp(tmpl.data()) == nullptr) throw std::runtime_error("mkdtemp failed: " + tmpl);
+    path_ = tmpl;
   }
   ~TempDir() {
     std::error_code ec;
@@ -47,6 +47,34 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
+
+/// A whole file as a string ("" if it cannot be opened).
+inline std::string slurp(const std::filesystem::path& p) {
+  std::ifstream in(p);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// ---------------------------------------------------------------- records
+
+/// A string's bytes, as a record key.
+inline Bytes toBytes(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+inline std::string toString(const Bytes& b) { return std::string(b.begin(), b.end()); }
+
+/// The word-count jobs' count values: one writeI64 each.
+inline Bytes encodeI64(i64 v) {
+  Bytes out;
+  MemorySink sink(out);
+  writeI64(sink, v);
+  return out;
+}
+
+inline i64 decodeI64(const Bytes& b) {
+  MemorySource src(b);
+  return readI64(src);
+}
 
 inline constexpr u64 kDefaultPropertySeed = 20260806;
 
